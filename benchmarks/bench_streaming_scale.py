@@ -1,23 +1,23 @@
-"""SCALE — the streaming/sharded pipeline against a million-event stream.
+"""SCALE — the streaming fold against a million-event stream.
 
 The paper's board holds 16384 events; this benchmark plays the long-run
-scenario the streaming pipeline exists for: a synthetic stream of one
+scenario the streaming fold exists for: a synthetic stream of one
 million records (many thousand scheduling blocks, dozens of 24-bit timer
-wraps) analysed three ways —
+wraps) analysed two ways —
 
 * batch: decode everything, build the full call forest, summarise;
-* streaming: one pass of :class:`SummaryAccumulator`, no tree;
-* sharded: quiescent-boundary shards on 4 workers, merged.
+* streaming: one pass of :class:`SummaryAccumulator`, no tree.
 
-Asserted claims: the streaming and sharded paths are at least 3x faster
-than batch in wall-clock, all three produce byte-identical summary text,
-and streaming peak memory is bounded (a 10x longer stream must not cost
-even 2x the peak).  A second test checks the same byte-identity on the
-real Figure 3 and Figure 5 workloads.
+Asserted claims: the streaming path is at least 3x faster than batch in
+wall-clock, both produce byte-identical summary text, and streaming peak
+memory is bounded (a 10x longer stream must not cost even 2x the peak).
+A second test checks the same byte-identity on the real Figure 3 and
+Figure 5 workloads.
 
-The decode leg benchmarks the two record-decode engines over the same
-million-event stream: the per-record reference loader against the
-columnar shear decoder (:func:`decode_record_columns`), plus the full
+The decode leg benchmarks the shipped record decoder against the
+per-record reference loader (``tests/reference_decode.py``, the
+differential oracle) over the same million-event stream: the columnar
+shear decoder (:func:`decode_record_columns`), plus the full
 capture-file ingest both ways.  The columnar result is verified
 lossless (it re-serialises to the exact input bytes) before any timing
 claim is made.
@@ -40,16 +40,14 @@ import warnings
 from typing import Iterator
 
 from paperbench import once
+from reference_decode import iter_capture_file, load_records
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded
-from repro.analysis.summary import summarize, summarize_records
+from repro.analysis.summary import SummaryAccumulator, summarize
 from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_capture_file,
-    load_records,
     write_capture_stream,
 )
 from repro.instrument.namefile import NameTable
@@ -118,22 +116,15 @@ def run_scale(total_events: int) -> dict:
     batch_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    streamed = summarize_records(iter(records), SCALE_NAMES)
+    streamed = SummaryAccumulator(SCALE_NAMES).feed_records(iter(records)).summary()
     stream_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = analyze_sharded(records, SCALE_NAMES, workers=4)
-    shard_s = time.perf_counter() - start
 
     return {
         "events": len(records),
         "batch_s": batch_s,
         "stream_s": stream_s,
-        "shard_s": shard_s,
-        "shards": sharded.shard_count,
         "batch_text": batch.format(),
         "stream_text": streamed.format(),
-        "shard_text": sharded.summary.format(),
     }
 
 
@@ -141,27 +132,18 @@ def test_scale_million_events(benchmark, comparison):
     result = once(benchmark, run_scale, 1_000_000)
 
     stream_x = result["batch_s"] / result["stream_s"]
-    shard_x = result["batch_s"] / result["shard_s"]
     comparison.row("events analysed", "1000000", result["events"])
-    comparison.row("shards (16384-event)", ">= 61", result["shards"])
     comparison.row("batch wall", "--", f"{result['batch_s']:.2f} s")
     comparison.row("streaming wall", ">= 3x faster", f"{result['stream_s']:.2f} s")
-    comparison.row("sharded wall (4 workers)", ">= 3x faster", f"{result['shard_s']:.2f} s")
     comparison.row("streaming speedup", ">= 3x", f"{stream_x:.1f}x")
-    comparison.row("sharded speedup", ">= 3x", f"{shard_x:.1f}x")
 
     assert result["events"] == 1_000_000
-    assert result["shards"] >= 61  # 1M events / 16384-per-shard
-    # The scaling claim: both bounded-memory paths beat batch by >= 3x.
+    # The scaling claim: the bounded-memory fold beats batch by >= 3x ...
     assert result["stream_s"] * 3 <= result["batch_s"], (
         f"streaming only {stream_x:.2f}x faster than batch"
     )
-    assert result["shard_s"] * 3 <= result["batch_s"], (
-        f"sharded only {shard_x:.2f}x faster than batch"
-    )
-    # ... and both are byte-identical to the batch summary.
+    # ... and is byte-identical to the batch summary.
     assert result["stream_text"] == result["batch_text"]
-    assert result["shard_text"] == result["batch_text"]
 
 
 DECODE_TARGET_SPEEDUP = 10.0
@@ -255,7 +237,7 @@ def streaming_peak_bytes(total_events: int) -> int:
     stream = synthetic_stream(total_events)
     tracemalloc.start()
     try:
-        summarize_records(stream, SCALE_NAMES)
+        SummaryAccumulator(SCALE_NAMES).feed_records(stream).summary()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -274,7 +256,7 @@ def test_scale_bounded_memory(comparison):
     )
 
 
-def figure_parity(workload: str) -> tuple[str, str, str]:
+def figure_parity(workload: str) -> tuple[str, str]:
     system = build_case_study()
     if workload == "figure3":
         from repro.workloads.network_recv import network_receive
@@ -292,23 +274,16 @@ def figure_parity(workload: str) -> tuple[str, str, str]:
         )
     batch = system.summarize(capture).format()
     streamed = system.summarize_streaming(capture).format()
-    sharded = system.summarize_sharded(
-        capture, workers=4, max_shard_events=2048
-    ).summary.format()
-    return batch, streamed, sharded
+    return batch, streamed
 
 
 def test_figure3_reports_byte_identical(benchmark, comparison):
-    batch, streamed, sharded = once(benchmark, figure_parity, "figure3")
+    batch, streamed = once(benchmark, figure_parity, "figure3")
     comparison.row("Figure 3 stream == batch", "identical", streamed == batch)
-    comparison.row("Figure 3 sharded == batch", "identical", sharded == batch)
     assert streamed == batch
-    assert sharded == batch
 
 
 def test_figure5_reports_byte_identical(benchmark, comparison):
-    batch, streamed, sharded = once(benchmark, figure_parity, "figure5")
+    batch, streamed = once(benchmark, figure_parity, "figure5")
     comparison.row("Figure 5 stream == batch", "identical", streamed == batch)
-    comparison.row("Figure 5 sharded == batch", "identical", sharded == batch)
     assert streamed == batch
-    assert sharded == batch

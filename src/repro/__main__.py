@@ -8,9 +8,8 @@ Usage examples::
     python -m repro analyze run.mpf --names run.tags --report trace
     python -m repro analyze run.mpf --names run.tags --strict
     python -m repro analyze damaged.mpf --names run.tags --salvage
-    python -m repro analyze big.mpf --names run.tags --stream --progress
-    python -m repro analyze big.mpf --names run.tags --shards 4 \
-        --telemetry run.pipeline.jsonl
+    python -m repro analyze big.mpf --names run.tags --stream --progress \
+        --telemetry run.fold.jsonl
     python -m repro capture doctor damaged.mpf -o repaired.mpf
     python -m repro fleet ingest captures/ --names run.tags --jobs 4 --salvage
     python -m repro fleet serve inbox/ --names run.tags --jobs 2 --poll 2
@@ -30,25 +29,25 @@ requested report(s).
 Observability: ``--telemetry PATH`` on capture/analyze enables the
 self-telemetry singleton for the run and writes the snapshot to PATH on
 the way out (format inferred from the extension); ``--progress`` adds a
-records/sec + ETA heartbeat on stderr for long ``--stream``/``--shards``
-runs.  Neither writes a byte to stdout, so report output is identical
-with or without them.
+records/sec + ETA heartbeat on stderr for long ``--stream`` runs.
+Neither writes a byte to stdout, so report output is identical with or
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.callstack import analyze_capture
 from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import gprof_report
-from repro.analysis.pipeline import DEFAULT_SHARD_EVENTS, analyze_sharded
 from repro.analysis.timeline import render_timeline
-from repro.analysis.summary import summarize, summarize_columns, summarize_records
+from repro.analysis.summary import ProfileSummary, fold_capture, summarize
 from repro.analysis.trace import format_trace
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
@@ -63,11 +62,7 @@ from repro.lint import (
 from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
-    DECODE_MODES,
-    DEFAULT_DECODE,
     cached_capture_meta,
-    iter_capture_columns,
-    iter_capture_file,
     salvage_capture,
     write_capture_file,
 )
@@ -155,23 +150,14 @@ def _print_reports(
         out("")
 
 
-def _check_pipeline_flags(args: argparse.Namespace) -> None:
-    """Validate the streaming/sharded flags against the requested reports.
-
-    Both alternate pipelines produce the function summary only — every
-    other report needs the materialised call tree, which is exactly what
-    they exist to avoid building.
-    """
-    if args.stream and args.shards is not None:
-        raise SystemExit("--stream and --shards are mutually exclusive")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards needs at least 1 worker, got {args.shards}")
-    if args.shard_events < 1:
-        raise SystemExit(f"--shard-events must be positive, got {args.shard_events}")
-    if (args.stream or args.shards is not None) and args.report != ["summary"]:
+def _check_stream_flag(args: argparse.Namespace) -> None:
+    """``--stream`` produces the function summary only: every other
+    report needs the materialised call tree, which is exactly what the
+    streaming fold exists to avoid building."""
+    if args.stream and args.report != ["summary"]:
         raise SystemExit(
-            "--stream/--shards produce the summary report only; drop the "
-            "other --report choices or run without the pipeline flags"
+            "--stream produces the summary report only; drop the other "
+            "--report choices or run without --stream"
         )
 
 
@@ -237,30 +223,28 @@ def _stream_total(path) -> Optional[int]:
     return meta.count or None
 
 
-def _print_sharded_summary(
-    capture: Capture, args: argparse.Namespace, out: Callable
-) -> None:
-    progress = _make_progress(args, len(capture.records), label="shards")
-    result = analyze_sharded(
-        capture.records,
-        capture.names,
-        max_shard_events=args.shard_events,
-        workers=args.shards,
-        width_bits=capture.counter_width_bits,
-        progress=progress.update,
-        decode=getattr(args, "decode", DEFAULT_DECODE),
-    )
-    progress.finish()
-    out(
-        f"sharded analysis: {result.shard_count} shard(s) of <= "
-        f"{args.shard_events} events on {result.workers} worker(s)"
-    )
-    out(result.summary.format(limit=args.summary_limit))
-    out("")
+def _stream_summary(
+    args: argparse.Namespace,
+    source: Union[str, bytes],
+    names: NameTable,
+    total: Optional[int],
+) -> ProfileSummary:
+    """Fold *source* through :func:`fold_capture`, the ``--progress``
+    heartbeat ticking once per batch.  A capture that will not fold
+    raises the error that stopped it."""
+    progress = _make_progress(args, total, label="stream")
+    try:
+        result = fold_capture(source, names, progress=progress.update)
+    finally:
+        progress.finish()
+    if result.fault is not None:
+        raise result.fault
+    assert result.accumulator is not None
+    return result.accumulator.summary()
 
 
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:
-    _check_pipeline_flags(args)
+    _check_stream_flag(args)
     _telemetry_begin(args)
     try:
         return _cmd_capture(args, out)
@@ -291,17 +275,16 @@ def _cmd_capture(args: argparse.Namespace, out: Callable) -> int:
         out(f"name/tag file written to {args.names}")
     desyncs = system.kernel.stats.get("kstack_desync", 0)
     if args.stream:
-        progress = _make_progress(args, len(capture.records), label="stream")
-        out(summarize_records(
-            progress.wrap(iter(capture.records)), capture.names
-        ).format(
-            limit=args.summary_limit
-        ))
+        # Fold the capture's file image: the same bytes, and the same
+        # fold, that ``analyze --stream`` reads back from ``--save``.
+        image = io.BytesIO()
+        capture.save(image)
+        summary = _stream_summary(
+            args, image.getvalue(), capture.names, len(capture.records)
+        )
+        out(summary.format(limit=args.summary_limit))
         out(_desync_footer(desyncs))
         out("")
-    elif args.shards is not None:
-        _print_sharded_summary(capture, args, out)
-        out(_desync_footer(desyncs))
     else:
         _print_reports(
             capture, args.report, args.summary_limit, out, desyncs=desyncs
@@ -320,7 +303,7 @@ def _defect_footer(capture: Capture, source: str, out: Callable) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
-    _check_pipeline_flags(args)
+    _check_stream_flag(args)
     if args.salvage and args.strict:
         raise SystemExit("--salvage and --strict are mutually exclusive")
     if args.salvage and args.stream:
@@ -338,7 +321,7 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
 def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     names = NameTable.read(*args.names)
     if args.strict:
-        lint_report = lint_capture_file(args.capture, names, decode=args.decode)
+        lint_report = lint_capture_file(args.capture, names)
         out(render_text(lint_report))
         out("")
         if not lint_report.ok:
@@ -350,22 +333,9 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     if args.stream:
         # Never materialise the capture: decode and summarise straight off
         # the file in O(chunk) memory.
-        progress = _make_progress(args, _stream_total(args.capture), label="stream")
-        if args.decode == "columnar":
-
-            def _batches():
-                try:
-                    for batch in iter_capture_columns(args.capture):
-                        yield batch
-                        progress.update(len(batch))
-                finally:
-                    progress.finish()
-
-            summary = summarize_columns(_batches(), names)
-        else:
-            summary = summarize_records(
-                progress.wrap(iter_capture_file(args.capture)), names
-            )
+        summary = _stream_summary(
+            args, args.capture, names, _stream_total(args.capture)
+        )
         out(f"streamed {summary.event_count} events from {args.capture}")
         out(summary.format(limit=args.summary_limit))
         out("")
@@ -375,13 +345,9 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         names,
         label=f"cli: {args.capture}",
         salvage=args.salvage,
-        decode=args.decode,
     )
     out(f"loaded {len(capture)} events from {args.capture}")
-    if args.shards is not None:
-        _print_sharded_summary(capture, args, out)
-    else:
-        _print_reports(capture, args.report, args.summary_limit, out)
+    _print_reports(capture, args.report, args.summary_limit, out)
     if args.salvage:
         _defect_footer(capture, args.capture, out)
     return 0
@@ -448,7 +414,6 @@ def cmd_lint(args: argparse.Namespace, out: Callable) -> int:
         ram_depth=args.ram_depth or None,
         kernel_ast=args.kernel_ast,
         self_check=args.self_check or not explicit,
-        decode=args.decode,
         coverage_corpus=args.coverage_corpus,
         db=args.db,
     )
@@ -529,7 +494,6 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
                 plan,
                 names,
                 jobs=args.jobs,
-                decode=args.decode,
                 salvage="auto" if args.salvage else "off",
                 progress=progress.update,
             )
@@ -580,7 +544,6 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
             args.root,
             names,
             jobs=args.jobs,
-            decode=args.decode,
             salvage="auto" if args.salvage else "off",
             port=args.port,
             poll_s=args.poll,
@@ -1116,26 +1079,16 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "--progress", nargs="?", const="auto", default="off",
         choices=("auto", "force", "off"), metavar="MODE",
         help="records/sec + ETA heartbeat on stderr for long "
-        "--stream/--shards runs; bare --progress is active only when "
+        "--stream runs; bare --progress is active only when "
         "stderr is a TTY, --progress=force always emits",
     )
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+def _add_stream_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stream", action="store_true",
         help="summarise via the streaming accumulator (O(chunk) memory; "
         "summary report only)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="summarise via the sharded pipeline on N parallel workers "
-        "(summary report only)",
-    )
-    parser.add_argument(
-        "--shard-events", type=int, default=DEFAULT_SHARD_EVENTS,
-        help=f"target events per shard (default {DEFAULT_SHARD_EVENTS}, "
-        "one board RAM)",
     )
 
 
@@ -1163,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capture.add_argument("--save", default=None, help="write raw records here")
     capture.add_argument("--names", default=None, help="write the name/tag file here")
-    _add_pipeline_flags(capture)
+    _add_stream_flag(capture)
     _add_telemetry_flags(capture)
     capture.set_defaults(func=cmd_capture)
 
@@ -1205,12 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "damaged file and list the tolerated defects in a report footer "
         "instead of refusing",
     )
-    analyze.add_argument(
-        "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-        help="record-decode engine: 'columnar' (default, batch fast path) "
-        "or 'reference' (the per-record walker); output is byte-identical",
-    )
-    _add_pipeline_flags(analyze)
+    _add_stream_flag(analyze)
     _add_telemetry_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -1279,11 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint kernel sources for enter/leave and spl discipline",
     )
     lint.add_argument(
-        "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-        help="record-decode engine for the stream verifier (diagnostics "
-        "are identical in both modes)",
-    )
-    lint.add_argument(
         "--self-check", action="store_true",
         help="lint the shipped case-study configuration (default when "
         "no other artifacts are given)",
@@ -1319,11 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="worker processes (default: the machine's CPU count)",
-        )
-        sub_parser.add_argument(
-            "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-            help="record-decode engine for the salvage path (the clean "
-            "path is always columnar)",
         )
         sub_parser.add_argument(
             "--salvage", action="store_true",

@@ -14,7 +14,8 @@ turns that list into the paper's two reports and the future-work extras:
   (Figure 4 layout);
 * :mod:`repro.analysis.histogram`, :mod:`repro.analysis.graph` — the
   "future work" analyses: per-function time histograms, call graphs and
-  subsystem groupings;
+  subsystem groupings (the graph module needs networkx, so it is imported
+  only when one of its names is first used);
 * :mod:`repro.analysis.reports` — one-call assembly of the full report.
 """
 
@@ -31,26 +32,17 @@ from repro.analysis.callstack import (
     analyze_capture,
     build_call_tree,
 )
-from repro.analysis.pipeline import (
-    DEFAULT_SHARD_EVENTS,
-    ShardPlan,
-    ShardedAnalysis,
-    analyze_capture_sharded,
-    analyze_sharded,
-    plan_shards,
-)
 from repro.analysis.summary import (
+    FoldResult,
     FunctionStats,
     ProfileSummary,
     SummaryAccumulator,
+    fold_capture,
     summarize,
     summarize_capture,
-    summarize_capture_streaming,
-    summarize_records,
 )
 from repro.analysis.trace import format_trace, trace_lines
 from repro.analysis.histogram import FunctionHistogram, histogram_for
-from repro.analysis.graph import call_graph, subsystem_rollup
 from repro.analysis.compare import (
     FunctionDelta,
     ProfileComparison,
@@ -67,19 +59,13 @@ __all__ = [
     "Anomaly",
     "CallNode",
     "CallTreeAnalysis",
-    "DEFAULT_SHARD_EVENTS",
     "DecodedEvent",
     "EventKind",
-    "ShardPlan",
-    "ShardedAnalysis",
+    "FoldResult",
     "SummaryAccumulator",
-    "analyze_capture_sharded",
-    "analyze_sharded",
+    "fold_capture",
     "iter_decoded_events",
-    "plan_shards",
     "summarize_capture",
-    "summarize_capture_streaming",
-    "summarize_records",
     "FunctionHistogram",
     "FunctionStats",
     "ProfileSummary",
@@ -106,3 +92,14 @@ __all__ = [
     "summarize",
     "trace_lines",
 ]
+
+#: Names re-exported from :mod:`repro.analysis.graph` on first use.
+_GRAPH_NAMES = ("call_graph", "subsystem_rollup")
+
+
+def __getattr__(name: str):
+    if name in _GRAPH_NAMES:
+        from repro.analysis import graph
+
+        return getattr(graph, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

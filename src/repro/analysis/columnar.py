@@ -1,10 +1,8 @@
-"""Columnar decode: the batch fast path of the analysis ingest.
+"""Columnar decode: the analysis ingest's one decode engine.
 
-The reference decode path (:mod:`repro.analysis.events`) walks one
-:class:`~repro.profiler.ram.RawRecord` at a time — a Python object, a
-name-table lookup and a wrap subtraction per record.  At fleet scale
-(ROADMAP item 1) that per-record interpreter work is the ceiling, so this
-module re-states the same three decode jobs over *columns*:
+Walking one :class:`~repro.profiler.ram.RawRecord` at a time costs a
+Python object, a name-table lookup and a wrap subtraction per record.
+This module states the three decode jobs over *columns* instead:
 
 1. **Timer unwrap** (:func:`unwrap_times`) — the modular
    difference-and-accumulate of ``reconstruct_times`` as two C-level
@@ -18,9 +16,10 @@ module re-states the same three decode jobs over *columns*:
 The product, :class:`ColumnarEvents`, holds exactly the fields a list of
 :class:`~repro.analysis.events.DecodedEvent` would, column by column, and
 can materialise them (:meth:`ColumnarEvents.to_events`) at API boundaries
-that still want objects.  Equivalence with the reference walker is not
-assumed: ``tests/test_decode_differential.py`` holds the two engines
-field-identical over generated streams.
+that still want objects.  Correctness is not assumed:
+``tests/test_decode_differential.py`` holds it field-identical to the
+per-record oracle in ``tests/reference_decode.py`` over generated
+streams.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
     """Precompute raw tag value -> (name, event code, is context switch).
 
     One dict lookup replaces ``NameTable.decode`` plus kind mapping in the
-    streaming hot loops (the accumulator and the shard-boundary scanner).
+    summary accumulator's hot loop.
     """
     tag_map: dict[int, tuple[str, int, bool]] = {}
     for entry in names:
@@ -67,7 +66,7 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
 class _DecodeMap(dict):
     """Tag -> (code, name, entry) with memoized unknown-tag entries.
 
-    ``__missing__`` synthesises the ``tag#N`` identity the reference
+    ``__missing__`` synthesises the ``tag#N`` identity the per-record
     decoder invents for a tag absent from the name file, and caches it so
     a burst of the same unknown tag costs one format call, not one per
     record.
@@ -114,14 +113,13 @@ def unwrap_times(
 
     With ``previous``/``base`` a caller unwraps a *chunk* of a longer
     stream: ``previous`` is the last raw snapshot of the prior chunk and
-    ``base`` its final absolute time, exactly the carry the streaming
-    reference keeps between records.  When ``previous`` is ``None`` the
+    ``base`` its final absolute time, exactly the carry a per-record
+    unwrap keeps between records.  When ``previous`` is ``None`` the
     first snapshot defines ``base`` (t=0 by default).
 
     ``check`` validates every snapshot against the counter width and
-    raises the reference decoder's exact :class:`ValueError` at the first
-    offending record; callers that replicate a non-validating reference
-    loop (the shard planner) pass ``check=False``.
+    raises :class:`ValueError` at the first offending record;
+    ``check=False`` masks over-width snapshots silently instead.
     """
     _check_width(width_bits)
     mask = (1 << width_bits) - 1
@@ -194,7 +192,7 @@ class ColumnarEvents:
     def to_events(self) -> list[DecodedEvent]:
         """Materialise the whole batch as :class:`DecodedEvent` objects.
 
-        Field-identical to the reference decoder's output over the same
+        Field-identical to the per-record oracle's output over the same
         records (the differential suite holds it to that).
         """
         kinds = KIND_FROM_CODE
@@ -241,8 +239,7 @@ def decode_columns(
 
     The whole batch is validated before anything is returned, so an
     over-width snapshot raises *before* the batch's earlier events are
-    observable — the streaming reference yields them first, then raises
-    the identical :class:`ValueError`.
+    observable.
     """
     if decode_map is None:
         decode_map = build_decode_map(names)

@@ -19,8 +19,11 @@ Headed by the overall accounting::
 from __future__ import annotations
 
 import dataclasses
+import io
 import time
-from typing import Iterable, Optional
+from itertools import islice
+from pathlib import Path
+from typing import Callable, Iterable, Optional, Union
 
 from repro.analysis.callstack import Anomaly, CallTreeAnalysis, analyze_capture
 from repro.analysis.columnar import (
@@ -29,13 +32,22 @@ from repro.analysis.columnar import (
     CODE_INLINE as _INLINE,
     CODE_UNKNOWN as _UNKNOWN,
     build_tag_map,
+    columns_from_records,
     unwrap_times as _unwrap_times,
 )
-from repro.analysis.events import DecodedEvent, EventKind
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
-from repro.profiler.upload import RecordColumns
+from repro.profiler.upload import (
+    DEFAULT_CHUNK_RECORDS,
+    CaptureDefect,
+    CaptureMeta,
+    RecordColumns,
+    cached_capture_meta,
+    iter_capture_columns,
+    salvage_capture,
+    salvage_capture_bytes,
+)
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 
@@ -215,21 +227,6 @@ def _agg_synthetic(functions: dict[str, list], name: str) -> None:
         agg[0] += 1
 
 
-def _agg_merge(functions: dict[str, list], other: dict[str, list]) -> None:
-    for name, theirs in other.items():
-        agg = functions.get(name)
-        if agg is None:
-            functions[name] = list(theirs)
-            continue
-        agg[0] += theirs[0]
-        agg[1] += theirs[1]
-        agg[2] += theirs[2]
-        if theirs[3] > agg[3]:
-            agg[3] = theirs[3]
-        if theirs[4] is not None and (agg[4] is None or theirs[4] < agg[4]):
-            agg[4] = theirs[4]
-
-
 def _materialize(functions: dict[str, list]) -> dict[str, FunctionStats]:
     return {
         name: FunctionStats(
@@ -276,17 +273,6 @@ def summarize_capture(capture: Capture) -> ProfileSummary:
 
 # -- streaming summary -------------------------------------------------------
 
-# The integer event codes and the tag map now live in
-# repro.analysis.columnar (shared with the columnar decode engine); the
-# private aliases and ``build_tag_map`` stay importable from here.
-
-_CODE_FROM_KIND = {
-    EventKind.ENTRY: _ENTRY,
-    EventKind.EXIT: _EXIT,
-    EventKind.INLINE: _INLINE,
-    EventKind.UNKNOWN: _UNKNOWN,
-}
-
 
 class _ProcStack:
     """One process's open frames during streaming reconstruction.
@@ -324,8 +310,8 @@ class SummaryAccumulator:
     between switches in practice), so the buffer does not grow with trace
     length.
 
-    Accumulators from independent capture shards combine with
-    :meth:`merge`; the streaming and batch pipelines produce byte-identical
+    Accumulators of independent captures combine with :meth:`merge`; the
+    accumulator and the batch call-tree analyser produce byte-identical
     reports (property-tested in ``tests/test_streaming_pipeline.py``).
     """
 
@@ -335,8 +321,6 @@ class SummaryAccumulator:
         *,
         width_bits: int = 24,
         include_swtch: bool = False,
-        start_index: int = 0,
-        time_base_us: int = 0,
     ) -> None:
         self._tag_map = build_tag_map(names) if names is not None else None
         self._mask = (1 << width_bits) - 1
@@ -362,12 +346,12 @@ class SummaryAccumulator:
 
         # Raw-record time reconstruction state.
         self._prev_raw: Optional[int] = None
-        self._absolute = time_base_us
-        self._next_index = start_index
+        self._absolute = 0
+        self._next_index = 0
 
         self._first_t: Optional[int] = None
-        self._last_t = time_base_us
-        self._prev_t = time_base_us
+        self._last_t = 0
+        self._prev_t = 0
 
         self._sealed = False
         self._wall_us = 0
@@ -375,98 +359,36 @@ class SummaryAccumulator:
 
     # -- feeding -------------------------------------------------------------
 
-    def feed(self, event: DecodedEvent) -> None:
-        """Fold one already-decoded event in (times must be absolute)."""
-        self._ingest(
-            (
-                _CODE_FROM_KIND[event.kind],
-                event.name,
-                event.is_context_switch,
-                event.time_us,
-                event.index,
-                event.raw.tag,
-            )
-        )
-
-    def feed_events(self, events: Iterable[DecodedEvent]) -> "SummaryAccumulator":
-        """Fold a decoded event stream in; returns self for chaining."""
-        for event in events:
-            self.feed(event)
-        return self
-
     def feed_records(self, records: Iterable[RawRecord]) -> "SummaryAccumulator":
-        """Fold raw records in, fusing tag decode and time reconstruction.
+        """Fold raw records in: an adapter over :meth:`feed_columns`.
 
-        The fast path: no :class:`DecodedEvent` is constructed.  Requires
-        the accumulator to have been built with a name table.  *records*
-        may be any iterable, including a generator draining a capture file
-        chunk by chunk; the 24-bit wrap is carried across calls.
+        *records* may be any iterable, including a generator; it is
+        sheared into columnar batches of :data:`DEFAULT_CHUNK_RECORDS`
+        and each batch folds exactly as :meth:`feed_columns` folds it,
+        carrying the counter wrap across calls.
         """
-        if self._sealed:
-            raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        tag_map = self._tag_map
-        if tag_map is None:
-            raise ValueError("feed_records() needs the accumulator built with names")
-        mask = self._mask
-        absolute = self._absolute
-        previous = self._prev_raw
-        index = self._next_index
-        count = 0
-        get = tag_map.get
-        apply = self._apply
-        try:
-            for record in records:
-                traw = record.time
-                if traw > mask:
-                    raise ValueError(
-                        f"record time {traw} exceeds the "
-                        f"{self._width_bits}-bit counter"
-                    )
-                if previous is not None:
-                    absolute += (traw - previous) & mask
-                previous = traw
-                count += 1
-                info = get(record.tag)
-                if info is None:
-                    name, code, is_cs = f"tag#{record.tag}", _UNKNOWN, False
-                else:
-                    name, code, is_cs = info
-                if self._first_t is None:
-                    self._first_t = absolute
-                    self._prev_t = absolute
-                if self._pending is not None:
-                    self._pending.append(
-                        (code, name, is_cs, absolute, index, record.tag)
-                    )
-                    if code == _ENTRY and is_cs:
-                        self._drain(final=False)
-                else:
-                    apply(code, name, is_cs, absolute, index, record.tag)
-                index += 1
-        finally:
-            self._absolute = absolute
-            self._prev_raw = previous
-            self._next_index = index
-            self._event_count += count
-            if count:
-                self._last_t = absolute
-        return self
+        iterator = iter(records)
+        while True:
+            chunk = list(islice(iterator, DEFAULT_CHUNK_RECORDS))
+            if not chunk:
+                return self
+            self.feed_columns(columns_from_records(chunk))
 
     def feed_columns(self, columns: RecordColumns) -> "SummaryAccumulator":
-        """Fold one columnar record batch in (the columnar fast path).
+        """Fold one columnar record batch in.
 
-        The batch twin of :meth:`feed_records`: the timer unwrap is
-        vectorized over the whole batch and the per-event loop walks
-        plain integers, never a :class:`RawRecord`.  State carried
-        between batches (previous snapshot, absolute time, indices) is
-        identical to the reference path's, including on a mid-batch
-        error, so interleaving the two feeds is well-defined.
+        The timer unwrap is vectorized over the whole batch and the
+        per-event loop walks plain integers, never a :class:`RawRecord`.
+        An over-width snapshot mid-batch folds the batch's prefix, keeps
+        the carried state (previous snapshot, absolute time, indices) at
+        the last good record and raises :class:`ValueError`, so a caller
+        may catch it and keep feeding.
         """
         if self._sealed:
             raise RuntimeError("cannot feed a sealed SummaryAccumulator")
         tag_map = self._tag_map
         if tag_map is None:
-            raise ValueError("feed_columns() needs the accumulator built with names")
+            raise ValueError("feeding needs the accumulator built with names")
         raw_times = columns.times
         tags = columns.tags
         n = len(tags)
@@ -474,8 +396,8 @@ class SummaryAccumulator:
             return self
         mask = self._mask
         # Find the first over-width snapshot (if any): the prefix before
-        # it folds in normally, then the reference decoder's exact error
-        # is raised with the reference's exact carried state.
+        # it folds in normally, then the error is raised with the state
+        # carried as of the last good record.
         bad_time: Optional[int] = None
         if max(raw_times) > mask:
             for offset, traw in enumerate(raw_times):
@@ -529,24 +451,6 @@ class SummaryAccumulator:
         return self
 
     # -- the state machine ----------------------------------------------------
-
-    def _ingest(self, item: tuple) -> None:
-        if self._sealed:
-            raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        self._event_count += 1
-        t = item[3]
-        if self._first_t is None:
-            self._first_t = t
-            self._prev_t = t
-        self._last_t = t
-        if self._pending is not None:
-            self._pending.append(item)
-            # A context-switch *entry* terminates the incoming scheduling
-            # block: resolution can now run.
-            if item[0] == _ENTRY and item[2]:
-                self._drain(final=False)
-        else:
-            self._apply(*item)
 
     def _apply(
         self, code: int, name: str, is_cs: bool, t: int, index: int, tag: int
@@ -760,21 +664,28 @@ class SummaryAccumulator:
             _TELEMETRY.max_gauge("analysis.peak.functions", len(self._functions))
         return self
 
-    def merge(self, other: "SummaryAccumulator", *, gap_idle_us: int = 0) -> "SummaryAccumulator":
-        """Fold another (independent, later-in-time) shard's totals into this one.
+    def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
+        """Fold another capture's totals into this one (seals both).
 
-        ``gap_idle_us`` is the idle bridge between the two shards: the
-        interval from this shard's final event to *other*'s first event.
-        At a quiescent shard boundary (cut immediately after a ``swtch``
-        entry) that whole interval is idle-loop time that neither shard
-        could see, so the merge accounts it exactly once — wall and idle
-        both grow by it.  Seals both accumulators.
+        Wall, idle and per-function totals add up; the per-call extremes
+        take the wider of the two.
         """
         self.close()
         other.close()
-        _agg_merge(self._functions, other._functions)
-        self._wall_us += other._wall_us + gap_idle_us
-        self._idle_us += other._idle_us + gap_idle_us
+        for name, theirs in other._functions.items():
+            agg = self._functions.get(name)
+            if agg is None:
+                self._functions[name] = list(theirs)
+                continue
+            agg[0] += theirs[0]
+            agg[1] += theirs[1]
+            agg[2] += theirs[2]
+            if theirs[3] > agg[3]:
+                agg[3] = theirs[3]
+            if theirs[4] is not None and (agg[4] is None or theirs[4] < agg[4]):
+                agg[4] = theirs[4]
+        self._wall_us += other._wall_us
+        self._idle_us += other._idle_us
         self._unattributed_us += other._unattributed_us
         self._event_count += other._event_count
         self._context_switches += other._context_switches
@@ -831,62 +742,115 @@ class SummaryAccumulator:
         return self._unattributed_us
 
 
-def summarize_records(
-    records: Iterable[RawRecord],
-    names: NameTable,
-    width_bits: int = 24,
-    include_swtch: bool = False,
-) -> ProfileSummary:
-    """One-call streaming summary of a raw record stream."""
-    accumulator = SummaryAccumulator(
-        names, width_bits=width_bits, include_swtch=include_swtch
-    )
-    telemetry = _TELEMETRY
-    if not telemetry.enabled:
-        return accumulator.feed_records(records).summary()
-    started = time.perf_counter()
-    with telemetry.span("analysis.summarize_records"):
-        result = accumulator.feed_records(records).summary()
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        telemetry.set_gauge("analysis.events_per_sec", result.event_count / elapsed)
-    return result
+# -- folding a capture file ---------------------------------------------------
+
+#: What :func:`fold_capture` reads: a path, or the capture's bytes.
+CaptureSource = Union[str, Path, bytes]
 
 
-def summarize_columns(
-    batches: Iterable[RecordColumns],
-    names: NameTable,
-    width_bits: int = 24,
-    include_swtch: bool = False,
-) -> ProfileSummary:
-    """One-call streaming summary of a columnar batch stream.
+@dataclasses.dataclass
+class FoldResult:
+    """What :func:`fold_capture` made of one capture.
 
-    The columnar twin of :func:`summarize_records`: *batches* is any
-    iterable of :class:`RecordColumns` (typically
-    :func:`repro.profiler.upload.iter_capture_columns` draining a capture
-    file), and the report is byte-identical to the per-record path's.
+    ``status`` is ``ok`` (clean decode), ``salvaged`` (the salvaging
+    decoder recovered records from a damaged file) or ``failed``
+    (nothing usable; ``error`` says why and ``fault`` holds the exception
+    that stopped the fold).  ``meta`` is the header the fold
+    trusted: the salvager's on ``salvaged``, the probe's otherwise
+    (``None`` when not even the header could be read).  ``records``
+    counts records folded; on ``failed`` it counts the whole batches the
+    clean attempt folded before the fault.  ``fold_s`` is the clean
+    attempt's wall time (probe included), ``salvage_s`` the salvage and
+    refold's.
     """
-    accumulator = SummaryAccumulator(
-        names, width_bits=width_bits, include_swtch=include_swtch
-    )
-    telemetry = _TELEMETRY
-    if not telemetry.enabled:
-        for batch in batches:
-            accumulator.feed_columns(batch)
-        return accumulator.summary()
+
+    status: str
+    meta: Optional[CaptureMeta]
+    accumulator: Optional[SummaryAccumulator]
+    records: int = 0
+    defects: tuple[CaptureDefect, ...] = ()
+    error: str = ""
+    fault: Optional[Exception] = None
+    fold_s: float = 0.0
+    salvage_s: float = 0.0
+
+
+def fold_capture(
+    source: CaptureSource,
+    names: NameTable,
+    *,
+    salvage: bool = False,
+    progress: Optional[Callable[[int], None]] = None,
+) -> FoldResult:
+    """Fold one capture file into a sealed :class:`SummaryAccumulator`.
+
+    The one ingest path every entry point shares: probe the header, fold
+    columnar batches off the file with the header's counter width, and —
+    with ``salvage`` — on a content fault run the salvaging decoder and
+    refold whatever survived from scratch.  *source* is a path or the
+    whole file's bytes (a caller that also fingerprints the file reads it
+    once).  ``progress`` is called with each clean batch's record count.
+    Never raises on a bad capture: faults land in the :class:`FoldResult`.
+    """
+    # The header probe hands a seekable stream back at its start.
+    stream = io.BytesIO(source) if isinstance(source, bytes) else source
     started = time.perf_counter()
-    with telemetry.span("analysis.summarize_columns"):
-        for batch in batches:
-            accumulator.feed_columns(batch)
-        result = accumulator.summary()
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        telemetry.set_gauge("analysis.events_per_sec", result.event_count / elapsed)
-    return result
-
-
-def summarize_capture_streaming(capture: Capture) -> ProfileSummary:
-    """Streaming twin of :func:`summarize_capture` (identical output)."""
-    return summarize_records(
-        capture.records, capture.names, width_bits=capture.counter_width_bits
+    meta: Optional[CaptureMeta] = None
+    records = 0
+    try:
+        with _TELEMETRY.span("analysis.fold_capture"):
+            meta = cached_capture_meta(stream)
+            accumulator = SummaryAccumulator(
+                names, width_bits=meta.counter_width_bits
+            )
+            for batch in iter_capture_columns(stream):
+                accumulator.feed_columns(batch)
+                records += len(batch)
+                if progress is not None:
+                    progress(len(batch))
+            accumulator.close()
+    except (OSError, ValueError) as exc:
+        fault: Exception = exc
+    else:
+        fold_s = time.perf_counter() - started
+        if _TELEMETRY.enabled and fold_s > 0:
+            _TELEMETRY.set_gauge("analysis.events_per_sec", records / fold_s)
+        return FoldResult("ok", meta, accumulator, records, fold_s=fold_s)
+    fold_s = time.perf_counter() - started
+    if not salvage or isinstance(fault, OSError):
+        return FoldResult(
+            "failed", meta, None, records,
+            error=str(fault), fault=fault, fold_s=fold_s,
+        )
+    started = time.perf_counter()
+    try:
+        if isinstance(source, bytes):
+            result = salvage_capture_bytes(source)
+        else:
+            result = salvage_capture(source)
+    except OSError as exc:
+        return FoldResult(
+            "failed", meta, None, records,
+            error=str(exc), fault=exc, fold_s=fold_s,
+        )
+    defects = tuple(result.defects)
+    if result.meta.version == 0:
+        error = "not recognisably a capture: " + "; ".join(
+            d.message for d in defects[:2]
+        )
+        return FoldResult(
+            "failed", meta, None, records,
+            defects=defects, error=error, fault=fault, fold_s=fold_s,
+        )
+    # The clean attempt may have folded batches before the fault
+    # surfaced; the salvager replays the file from scratch, so refold
+    # into a fresh accumulator.
+    accumulator = SummaryAccumulator(
+        names, width_bits=result.meta.counter_width_bits
+    )
+    accumulator.feed_records(result.records).close()
+    return FoldResult(
+        "salvaged", result.meta, accumulator, len(result.records),
+        defects=defects, fold_s=fold_s,
+        salvage_s=time.perf_counter() - started,
     )

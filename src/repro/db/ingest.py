@@ -1,10 +1,9 @@
 """Ingesting captures into the profile corpus database.
 
-The decode leg is the columnar fast path —
-:func:`~repro.profiler.upload.iter_capture_columns` feeding
-:meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns` — with
-the fleet engine's salvage fallback for damaged files.  Each capture
-lands as one ``runs`` row plus its per-function ``functions`` rows.
+The decode leg is :func:`~repro.analysis.summary.fold_capture`, the
+fold ``repro analyze --stream`` and the fleet engine run, salvage
+fallback included.  Each capture lands as one ``runs`` row plus its
+per-function ``functions`` rows.
 
 Idempotence is the design center: a run is keyed by the SHA-256 of the
 capture file's bytes, inserted inside one transaction, and a fingerprint
@@ -18,21 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import sqlite3
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.analysis.summary import ProfileSummary, SummaryAccumulator
+from repro.analysis.summary import fold_capture
 from repro.db.schema import ProfileDbError
 from repro.instrument.namefile import NameTable
-from repro.profiler.upload import (
-    CaptureFormatError,
-    CaptureMeta,
-    cached_capture_meta,
-    iter_capture_columns,
-    salvage_capture_bytes,
-)
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.workloads import workload_for_label
 
@@ -114,41 +105,6 @@ def discover_captures(
     return sorted(found)
 
 
-def _summarize_blob(
-    blob: bytes, names: NameTable, *, salvage: bool
-) -> "tuple[Optional[ProfileSummary], Optional[CaptureMeta], str, int, str]":
-    """Decode one capture blob: (summary, meta, status, defects, error)."""
-    error = ""
-    meta: Optional[CaptureMeta] = None
-    try:
-        meta = cached_capture_meta(io.BytesIO(blob))
-    except (CaptureFormatError, ValueError) as exc:
-        error = str(exc)
-    if meta is not None:
-        accumulator = SummaryAccumulator(
-            names, width_bits=meta.counter_width_bits
-        )
-        try:
-            for batch in iter_capture_columns(io.BytesIO(blob)):
-                accumulator.feed_columns(batch)
-            return accumulator.summary(), meta, "ok", 0, ""
-        except (CaptureFormatError, ValueError) as exc:
-            error = str(exc)
-    if not salvage:
-        return None, meta, "failed", 0, error
-    result = salvage_capture_bytes(blob)
-    if result.meta.version == 0:
-        error = "not recognisably a capture: " + "; ".join(
-            d.message for d in result.defects[:2]
-        )
-        return None, result.meta, "failed", len(result.defects), error
-    accumulator = SummaryAccumulator(
-        names, width_bits=result.meta.counter_width_bits
-    )
-    accumulator.feed_records(result.records)
-    return accumulator.summary(), result.meta, "salvaged", len(result.defects), ""
-
-
 def ingest_capture(
     conn: sqlite3.Connection,
     path: Union[str, Path],
@@ -181,10 +137,9 @@ def ingest_capture(
         return RunIngest(
             path=source, fingerprint=fingerprint, status="duplicate"
         )
-    summary, meta, status, defects, error = _summarize_blob(
-        blob, names, salvage=salvage
-    )
-    if summary is None:
+    result = fold_capture(blob, names, salvage=salvage)
+    defects = len(result.defects)
+    if result.accumulator is None or result.meta is None:
         if _TELEMETRY.enabled:
             _TELEMETRY.count("db.runs.failed")
         return RunIngest(
@@ -192,8 +147,10 @@ def ingest_capture(
             fingerprint=fingerprint,
             status="failed",
             defects=defects,
-            error=error,
+            error=result.error,
         )
+    summary = result.accumulator.summary()
+    meta = result.meta
     label = meta.label
     tag = workload if workload is not None else workload_tag(label)
     with conn:
@@ -212,7 +169,7 @@ def ingest_capture(
                 meta.counter_width_bits,
                 meta.counter_rate_hz,
                 int(meta.overflowed),
-                int(status == "salvaged"),
+                int(result.status == "salvaged"),
                 defects,
                 summary.event_count,
                 summary.wall_us,
@@ -248,7 +205,7 @@ def ingest_capture(
     return RunIngest(
         path=source,
         fingerprint=fingerprint,
-        status="added" if status == "ok" else status,
+        status="added" if result.status == "ok" else result.status,
         workload=tag,
         label=label,
         records=summary.event_count,

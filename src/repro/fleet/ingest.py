@@ -13,11 +13,11 @@ Three design rules, in priority order:
    plan order (path-sorted), never completion order.  ``--jobs 1`` takes
    an inline sequential path through the *same* fold, which is what the
    CI smoke job diffs against.
-2. **Columnar per capture.**  Each worker runs PR 6's batch decode
-   (:func:`~repro.profiler.upload.iter_capture_columns` feeding
-   :meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns`), so
-   single-capture throughput is the ~7M events/s path and the pool adds
-   capture-level parallelism on top.
+2. **One fold per capture.**  Each worker runs
+   :func:`~repro.analysis.summary.fold_capture` — the same probe,
+   columnar fold and salvage fallback as ``repro analyze --stream`` and
+   ``repro db ingest`` — and the pool adds capture-level parallelism on
+   top.
 3. **Shared-memory observability.**  Forked workers cannot touch the
    parent's telemetry registry, so fleet metrics go through the striped
    :class:`~repro.fleet.arena.MetricsArena`; each pool worker owns one
@@ -42,18 +42,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import multiprocessing
 
-from repro.analysis.summary import SummaryAccumulator
+from repro.analysis.summary import SummaryAccumulator, fold_capture
 from repro.fleet.arena import MetricsArena, StripeWriter
 from repro.instrument.namefile import NameTable
-from repro.profiler.upload import (
-    DEFAULT_DECODE,
-    CaptureFormatError,
-    CaptureMeta,
-    cached_capture_meta,
-    check_decode_mode,
-    iter_capture_columns,
-    salvage_capture,
-)
+from repro.profiler.upload import CaptureMeta, cached_capture_meta
 
 #: File patterns a fleet plan sweeps up, in match order.
 FLEET_PATTERNS: Tuple[str, ...] = ("*.mpf", "*.mpf.corrupt")
@@ -261,14 +253,13 @@ def plan_fleet(
 
 # -- worker side ---------------------------------------------------------------
 #
-# Pool workers are primed once by _init_worker: the name table, decode and
+# Pool workers are primed once by _init_worker: the name table and
 # salvage policy land in module globals, and the worker claims its stripe
 # of the shared arena.  Stripe choice uses the pool process's identity
 # (1-based, assigned at spawn) so each live worker writes a distinct
 # stripe — the single-writer contract the arena's lock-freedom rests on.
 
 _worker_names: Optional[NameTable] = None
-_worker_decode: str = DEFAULT_DECODE
 _worker_salvage: str = "off"
 _worker_writer: Optional[StripeWriter] = None
 _worker_arena: Optional[MetricsArena] = None
@@ -292,127 +283,64 @@ def _claim_stripe(arena: MetricsArena) -> StripeWriter:
     return arena.writer(slot)
 
 
-def _init_worker(
-    arena: MetricsArena, names: NameTable, decode: str, salvage: str
-) -> None:
+def _init_worker(arena: MetricsArena, names: NameTable, salvage: str) -> None:
     """Prime one pool worker (runs in the child, once per process).
 
     SIGINT is ignored in workers: Ctrl-C lands in the parent, which
     drains in-flight futures and shuts the pool down in order — the
     "clear SIGINT, not a hang" contract ``repro fleet serve`` documents.
     """
-    global _worker_names, _worker_decode, _worker_salvage
+    global _worker_names, _worker_salvage
     global _worker_writer, _worker_arena
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_arena = arena
     _worker_writer = _claim_stripe(arena)
     _worker_names = names
-    _worker_decode = decode
     _worker_salvage = salvage
 
 
 def _summarize_one(
     path: str,
     names: NameTable,
-    decode: str,
     salvage: str,
     writer: Optional[StripeWriter],
 ) -> Tuple[CaptureReport, Optional[SummaryAccumulator]]:
-    """Decode + summarize one capture; the unit of fleet work.
+    """Fold one capture and count it into the arena; the unit of fleet work.
 
     Runs identically inline (``--jobs 1``) and inside a pool worker —
     determinism falls out of that sharing, not of careful duplication.
     """
     started = time.perf_counter()
-    width_bits = 24
-    label = ""
-    version = 0
-    try:
-        meta = cached_capture_meta(path)
-        width_bits = meta.counter_width_bits
-        label = meta.label
-        version = meta.version
-    except (OSError, ValueError):
-        meta = None
-    accumulator = SummaryAccumulator(names, width_bits=width_bits)
-    status = "ok"
-    records = 0
-    defects = 0
-    error = ""
-    try:
-        if meta is None:
-            raise CaptureFormatError("unreadable capture header")
-        for batch in iter_capture_columns(path):
-            accumulator.feed_columns(batch)
-            records += len(batch)
-        # Counted only after the whole file decoded clean: a fault part
-        # way through routes to salvage, which recounts from scratch.
-        if writer is not None:
-            writer.count("fleet.records.decoded", records)
-            writer.observe(
-                "fleet.stage.decode_us", (time.perf_counter() - started) * 1e6
-            )
-    except OSError as exc:
-        status, error = "failed", str(exc)
-    except (CaptureFormatError, ValueError) as exc:
-        if salvage != "auto":
-            status, error = "failed", str(exc)
-        else:
-            salvage_started = time.perf_counter()
-            try:
-                result = salvage_capture(path, decode=decode)
-            except OSError as os_exc:
-                result = None
-                status, error = "failed", str(os_exc)
-            if result is not None and result.meta.version == 0:
-                status = "failed"
-                error = "not recognisably a capture: " + "; ".join(
-                    d.message for d in result.defects[:2]
-                )
-            elif result is not None:
-                # The partial columnar feed above may have advanced the
-                # accumulator before the fault surfaced; salvage replays
-                # the file from scratch, so start clean.
-                accumulator = SummaryAccumulator(
-                    names, width_bits=result.meta.counter_width_bits
-                )
-                accumulator.feed_records(result.records)
-                status = "salvaged"
-                records = len(result.records)
-                defects = len(result.defects)
-                label = result.meta.label
-                version = result.meta.version
-                error = ""
-                if writer is not None:
-                    writer.count("fleet.records.decoded", records)
-                    writer.count("fleet.salvage.recoveries")
-                    writer.count("fleet.salvage.defects", defects)
-                    writer.observe(
-                        "fleet.stage.salvage_us",
-                        (time.perf_counter() - salvage_started) * 1e6,
-                    )
+    result = fold_capture(path, names, salvage=salvage == "auto")
+    salvaged = result.status == "salvaged"
     if writer is not None:
+        if result.status == "ok":
+            # Counted only after the whole file decoded clean: a fault
+            # part way through routes to salvage, which recounts.
+            writer.count("fleet.records.decoded", result.records)
+            writer.observe("fleet.stage.decode_us", result.fold_s * 1e6)
+        elif salvaged:
+            writer.count("fleet.records.decoded", result.records)
+            writer.count("fleet.salvage.recoveries")
+            writer.count("fleet.salvage.defects", len(result.defects))
+            writer.observe("fleet.stage.salvage_us", result.salvage_s * 1e6)
         writer.count(
-            "fleet.captures.ingested" if status != "failed"
-            else "fleet.captures.failed"
+            "fleet.captures.failed" if result.status == "failed"
+            else "fleet.captures.ingested"
         )
-    if status == "failed":
-        accumulator = None
-    else:
-        accumulator.close()
-    elapsed_us = int((time.perf_counter() - started) * 1e6)
+    meta = result.meta
     report = CaptureReport(
         index=-1,  # stamped by the caller, which knows the plan index
         path=path,
-        status=status,
-        records=records,
-        defects=defects,
-        error=error,
-        label=label,
-        version=version,
-        elapsed_us=elapsed_us,
+        status=result.status,
+        records=result.records,
+        defects=len(result.defects) if salvaged else 0,
+        error=result.error,
+        label=meta.label if meta is not None else "",
+        version=meta.version if meta is not None else 0,
+        elapsed_us=int((time.perf_counter() - started) * 1e6),
     )
-    return report, accumulator
+    return report, result.accumulator
 
 
 def _pool_ingest_one(
@@ -421,7 +349,7 @@ def _pool_ingest_one(
     """The pool task: ingest one capture with the worker's primed state."""
     assert _worker_names is not None, "worker not initialised"
     report, accumulator = _summarize_one(
-        path, _worker_names, _worker_decode, _worker_salvage, _worker_writer
+        path, _worker_names, _worker_salvage, _worker_writer
     )
     return index, dataclasses.replace(report, index=index), accumulator
 
@@ -465,7 +393,6 @@ def ingest_fleet(
     names: NameTable,
     *,
     jobs: int = 1,
-    decode: str = DEFAULT_DECODE,
     salvage: str = "off",
     arena: Optional[MetricsArena] = None,
     progress: Optional[Callable[[int], None]] = None,
@@ -479,7 +406,6 @@ def ingest_fleet(
     alive across passes, as serve mode does).  The merged summary is
     byte-identical across all worker counts.
     """
-    check_decode_mode(decode)
     check_salvage_mode(salvage)
     jobs = resolve_jobs(jobs)
     plan = (
@@ -498,7 +424,7 @@ def ingest_fleet(
             writer = arena.writer(0)
             for capture in plan.captures:
                 report, accumulator = _summarize_one(
-                    capture.path, names, decode, salvage, writer
+                    capture.path, names, salvage, writer
                 )
                 reports.append(
                     dataclasses.replace(report, index=capture.index)
@@ -517,7 +443,7 @@ def ingest_fleet(
                 max_workers=jobs,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(arena, names, decode, salvage),
+                initargs=(arena, names, salvage),
             ) as pool:
                 futures = [
                     pool.submit(_pool_ingest_one, capture.index, capture.path)

@@ -1,11 +1,12 @@
 """The live consumer: wire batches -> rolling summaries -> gauges.
 
 :class:`LiveAnalyzer` is the analysis side of the live pipe.  It drives
-:func:`repro.profiler.upload.iter_capture_columns` over a (usually
+:func:`repro.profiler.upload.open_capture_columns` over a (usually
 non-seekable, open-ended) capture stream and folds every batch into one
-:class:`~repro.analysis.summary.SummaryAccumulator` — the same code path
-batch ``analyze --stream`` takes, which is what makes the drained final
-summary byte-identical to the batch report by construction.
+:class:`~repro.analysis.summary.SummaryAccumulator` with the counter
+width the wire header declares — the same fold batch ``analyze
+--stream`` runs, which is what makes the drained final summary
+byte-identical to the batch report by construction.
 
 On top of the fold it publishes the live observables:
 
@@ -39,7 +40,7 @@ from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
     RecordColumns,
-    iter_capture_columns,
+    open_capture_columns,
 )
 from repro.telemetry import TELEMETRY, HeartbeatFlusher
 from repro.telemetry.export import to_prometheus
@@ -75,7 +76,8 @@ class LiveAnalyzer:
     the drained summary back) or by pushing batches through :meth:`feed`
     and calling :meth:`finish` at end of stream.  ``on_window`` fires
     with each closed :class:`LiveWindow` — the hook ``repro top`` hangs
-    its refresh on.
+    its refresh on.  ``width_bits`` is the counter width pushed batches
+    unwrap with; :meth:`consume` takes it from the wire header instead.
     """
 
     def __init__(
@@ -91,6 +93,8 @@ class LiveAnalyzer:
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window must be positive, got {window_s}")
+        self.names = names
+        self.width_bits = width_bits
         self.accumulator = SummaryAccumulator(names, width_bits=width_bits)
         self.window_s = window_s
         self.on_window = on_window
@@ -213,14 +217,34 @@ class LiveAnalyzer:
     ) -> ProfileSummary:
         """Drain *source* (a path, pipe or socket file) to completion.
 
-        Each ``read()`` off the wire becomes one :meth:`feed`; the
-        arrival timestamp for the lag gauge is taken the moment the
-        batch is decoded off the stream.
+        Records unwrap with the counter width the header declares.  Each
+        ``read()`` off the wire becomes one :meth:`feed`; the arrival
+        timestamp for the lag gauge is taken the moment the batch is
+        decoded off the stream.
         """
         clock = self._clock
-        for columns in iter_capture_columns(source, chunk_records=chunk_records):
-            self.feed(columns, arrival=clock())
+        with open_capture_columns(source, chunk_records=chunk_records) as (
+            meta,
+            batches,
+        ):
+            self._use_width(meta.counter_width_bits)
+            for columns in batches:
+                self.feed(columns, arrival=clock())
         return self.finish()
+
+    def _use_width(self, width_bits: int) -> None:
+        if width_bits == self.width_bits:
+            return
+        if self.records_total:
+            raise ValueError(
+                f"stream declares a {width_bits}-bit counter but "
+                f"{self.records_total} records were already folded at "
+                f"{self.width_bits} bits"
+            )
+        self.width_bits = width_bits
+        self.accumulator = SummaryAccumulator(self.names, width_bits=width_bits)
+        if self.trace is not None:
+            self.trace.width_bits = width_bits
 
     # -- scrape ----------------------------------------------------------------
 

@@ -60,7 +60,7 @@ class LiveTraceWriter:
         self.slices = 0
         self.dropped = 0
         self.closed = False
-        self._width_bits = width_bits
+        self.width_bits = width_bits
         self._decode_map = build_decode_map(names)
         self._names = names
         # Cross-batch decode carry: previous raw snapshot, absolute time,
@@ -110,7 +110,7 @@ class LiveTraceWriter:
         events = decode_columns(
             columns,
             self._names,
-            self._width_bits,
+            self.width_bits,
             start_index=self._index,
             time_base_us=self._base,
             previous=self._previous,

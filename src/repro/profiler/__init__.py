@@ -28,7 +28,6 @@ from repro.profiler.upload import (
     CaptureMetadataWarning,
     SalvageResult,
     dump_records,
-    load_records,
     read_capture,
     read_capture_file,
     salvage_capture,
@@ -54,7 +53,6 @@ __all__ = [
     "SalvageResult",
     "TraceRam",
     "dump_records",
-    "load_records",
     "read_capture",
     "read_capture_file",
     "salvage_capture",

@@ -13,17 +13,8 @@ import dataclasses
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.pipeline import (
-    DEFAULT_SHARD_EVENTS,
-    ShardedAnalysis,
-    analyze_capture_sharded,
-)
 from repro.analysis.reports import full_report
-from repro.analysis.summary import (
-    ProfileSummary,
-    summarize,
-    summarize_capture_streaming,
-)
+from repro.analysis.summary import ProfileSummary, SummaryAccumulator, summarize
 from repro.instrument.compiler import InstrumentedImage, InstrumentingCompiler
 from repro.instrument.namefile import NameTable
 from repro.kernel import import_all as _import_all_kernel_modules
@@ -92,19 +83,11 @@ class CaseStudySystem:
         return summarize(analyze_capture(capture))
 
     def summarize_streaming(self, capture: Capture) -> ProfileSummary:
-        """The same summary via the single-pass bounded-memory pipeline."""
-        return summarize_capture_streaming(capture)
-
-    def summarize_sharded(
-        self,
-        capture: Capture,
-        workers: Optional[int] = None,
-        max_shard_events: int = DEFAULT_SHARD_EVENTS,
-    ) -> ShardedAnalysis:
-        """The same summary via the parallel sharded pipeline."""
-        return analyze_capture_sharded(
-            capture, workers=workers, max_shard_events=max_shard_events
+        """The same summary via the single-pass bounded-memory fold."""
+        accumulator = SummaryAccumulator(
+            capture.names, width_bits=capture.counter_width_bits
         )
+        return accumulator.feed_records(capture.records).summary()
 
     def report(self, capture: Capture, **kwargs: object) -> str:
         """The full two-part report."""

@@ -258,67 +258,3 @@ class TestConservation:
         analysis = analyze_capture(capture)
         for node in analysis.nodes():
             assert node.inclusive_us == sum(d.self_us for d in node.walk())
-
-
-class TestShardBoundaryIdle:
-    """Regression: a ``swtch`` entry as a shard's final event must not
-    double-count the idle interval that crosses the cut."""
-
-    def _records(self, simple_names):
-        # Two scheduling blocks separated by 1000 us of idle.  The
-        # quiescent cut lands after the first swtch ENTRY (event 3), so
-        # that idle interval exists only as the planner's bridge.
-        capture = stream(
-            simple_names,
-            ("<", "swtch", 100),
-            (">", "main", 110),
-            ("<", "main", 170),
-            (">", "swtch", 180),    # shard 0 ends here; 1000 us idle follows
-            ("<", "swtch", 1180),
-            (">", "read", 1200),
-            ("<", "read", 1260),
-            (">", "swtch", 1300),
-        )
-        return capture
-
-    def test_merged_idle_equals_batch_idle(self, simple_names):
-        from repro.analysis.pipeline import analyze_sharded, plan_shards
-        from repro.analysis.summary import summarize
-
-        capture = self._records(simple_names)
-        batch = summarize(analyze_capture(capture))
-
-        plans = plan_shards(capture.records, simple_names, max_shard_events=4)
-        assert len(plans) == 2
-        assert plans[0].stop == 4          # cut right after the swtch entry
-        assert plans[0].bridge_us == 1000  # the idle that crosses the cut
-
-        merged = analyze_sharded(
-            capture.records, simple_names, max_shard_events=4, workers=2
-        )
-        # The bridge is added exactly once: batch sees the 1000 us inside
-        # its swtch frame, the shards see it only as the bridge — idle
-        # must come out 1000, not 2000.
-        assert merged.summary.idle_us == batch.idle_us
-        assert merged.summary.wall_us == batch.wall_us
-        assert merged.summary.format() == batch.format()
-
-    def test_trailing_swtch_entry_stays_open_not_idle_twice(self, simple_names):
-        """The open swtch frame at end-of-shard is closed at its last
-        event time (zero extra idle), so merge() adds only the bridge."""
-        from repro.analysis.pipeline import analyze_sharded
-        from repro.analysis.summary import SummaryAccumulator
-
-        capture = self._records(simple_names)
-        solo = SummaryAccumulator(simple_names)
-        solo.feed_records(capture.records[:4])
-        solo.close()
-        # Shard 0 alone sees zero idle: the leading swtch exit is
-        # unmatched and the trailing entry closes with zero self time.
-        assert solo.summary().idle_us == 0
-
-        merged = analyze_sharded(
-            capture.records, simple_names, max_shard_events=4, workers=1
-        )
-        batch = analyze_capture(capture)
-        assert merged.summary.idle_us == batch.idle_us

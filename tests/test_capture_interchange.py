@@ -25,7 +25,7 @@ from repro.profiler.upload import (
     CaptureMetadataWarning,
     EpromReadback,
     dump_records,
-    iter_capture_file,
+    iter_capture_columns,
     read_capture,
     read_capture_file,
     salvage_capture,
@@ -38,6 +38,12 @@ from repro.__main__ import main
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 RECORDS = [RawRecord(tag=500 + (i % 4), time=(i * 321) & 0xFFFF) for i in range(20)]
+
+
+def iter_capture_records(source):
+    """The streaming reader's batches, flattened back to records."""
+    for batch in iter_capture_columns(source):
+        yield from batch.to_records()
 
 
 def _names() -> NameTable:
@@ -147,8 +153,8 @@ class TestCrossVersionReads:
         assert read_capture_file(v2) == RECORDS
         v1.seek(0)
         v2.seek(0)
-        assert list(iter_capture_file(v1)) == RECORDS
-        assert list(iter_capture_file(v2)) == RECORDS
+        assert list(iter_capture_records(v1)) == RECORDS
+        assert list(iter_capture_records(v2)) == RECORDS
 
     def test_streaming_writer_matches_batch_writer_v2(self):
         streamed = io.BytesIO()
@@ -164,7 +170,7 @@ class TestCrossVersionReads:
     def test_iter_detects_crc_corruption_at_end(self):
         blob = bytearray(_v2_blob())
         blob[-1] ^= 0x40  # flip a payload bit
-        iterator = iter_capture_file(io.BytesIO(bytes(blob)))
+        iterator = iter_capture_records(io.BytesIO(bytes(blob)))
         with pytest.raises(ValueError, match="CRC32"):
             list(iterator)
 
@@ -190,7 +196,7 @@ class TestShortReads:
             buffer, RECORDS, version=version,
             label="dribble" if version == 2 else "",
         )
-        records = list(iter_capture_file(DribbleStream(buffer.getvalue())))
+        records = list(iter_capture_records(DribbleStream(buffer.getvalue())))
         assert records == RECORDS
 
     def test_read_capture_tolerates_short_reads(self):

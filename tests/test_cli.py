@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +207,21 @@ class TestOtherCommands:
     def test_analyze_requires_names(self):
         with pytest.raises(SystemExit):
             main(["analyze", "whatever.mpf"], out=lambda s: None)
+
+
+def test_import_does_not_pull_networkx():
+    """``pyproject.toml`` declares no runtime dependency, so the CLI must
+    import without networkx; only the call-graph analysis needs it."""
+    probe = "import sys, repro.__main__; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert result.stdout.strip() == "False"
+    from repro.analysis import call_graph, subsystem_rollup
+
+    assert callable(call_graph) and callable(subsystem_rollup)

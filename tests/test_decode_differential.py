@@ -1,12 +1,13 @@
-"""Differential tests: columnar decode against the per-record reference.
+"""Differential tests: the shipped decode engine against the oracle.
 
 Every property here generates a record stream (wrap-heavy timers,
 interrupt bursts, unknown tags, zero-length and trace-RAM-filling
-captures, MPF1 and MPF2 files) and asserts the two decode engines
-agree *exactly*: field-identical ``DecodedEvent`` sequences, identical
-shard plans, identical summary bytes (and therefore identical summary
-hashes), and identical error messages and carried accumulator state
-when a stream is malformed.
+captures, MPF1 and MPF2 files) and asserts the columnar engine agrees
+*exactly* with the per-record reference decoder in
+``tests/reference_decode.py``: field-identical ``DecodedEvent``
+sequences, identical summary bytes (and therefore identical summary
+hashes) against the batch call-tree analyser, and identical error
+messages and carried accumulator state when a stream is malformed.
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -23,23 +24,16 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_decode as reference
 from repro.analysis import columnar
 from repro.analysis.events import decode_records, iter_decoded_events
-from repro.analysis.pipeline import analyze_sharded, plan_shards
-from repro.analysis.summary import (
-    SummaryAccumulator,
-    summarize_columns,
-    summarize_records,
-)
+from repro.analysis.summary import SummaryAccumulator
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_capture_file,
     iter_record_columns,
-    iter_record_stream,
-    load_records,
     write_capture_stream,
 )
 from stream_helpers import TIME_MASK, make_names
@@ -163,7 +157,7 @@ class TestRecordParity:
     def test_columnar_load_matches_reference(self, records):
         blob = dump_records(records)
         columns = decode_record_columns(blob)
-        assert columns.to_records() == load_records(blob)
+        assert columns.to_records() == reference.load_records(blob)
         assert columns.to_bytes() == blob
         for offset in (0, len(records) // 2, len(records) - 1):
             if 0 <= offset < len(records):
@@ -176,12 +170,12 @@ class TestRecordParity:
     )
     def test_chunked_stream_matches_reference(self, records, chunk_records):
         blob = dump_records(records)
-        reference = list(iter_record_stream(io.BytesIO(blob)))
+        expected = list(reference.iter_record_stream(io.BytesIO(blob)))
         batches = list(
             iter_record_columns(io.BytesIO(blob), chunk_records=chunk_records)
         )
         flattened = [r for batch in batches for r in batch.to_records()]
-        assert flattened == reference
+        assert flattened == expected
         assert all(len(batch) <= chunk_records for batch in batches)
 
     @DIFF_SETTINGS
@@ -195,14 +189,14 @@ class TestRecordParity:
         buffer = io.BytesIO()
         write_capture_stream(buffer, records, version=version)
         buffer.seek(0)
-        reference = list(iter_capture_file(buffer))
+        expected = list(reference.iter_capture_file(buffer))
         buffer.seek(0)
         flattened = [
             r
             for batch in iter_capture_columns(buffer, chunk_records=chunk_records)
             for r in batch.to_records()
         ]
-        assert flattened == reference
+        assert flattened == expected
 
 
 # -- decoded-event layer -----------------------------------------------------
@@ -216,40 +210,44 @@ class TestEventParity:
         time_base_us=st.integers(min_value=0, max_value=1 << 40),
     )
     def test_decoded_events_field_identical(self, records, start_index, time_base_us):
-        reference = list(
-            iter_decoded_events(
-                iter(records),
-                NAMES,
-                start_index=start_index,
-                time_base_us=time_base_us,
-                decode="reference",
-            )
-        )
-        columnar_events = list(
-            iter_decoded_events(
-                iter(records),
-                NAMES,
-                start_index=start_index,
-                time_base_us=time_base_us,
-                decode="columnar",
-            )
-        )
-        assert len(columnar_events) == len(reference)
-        for got, want in zip(columnar_events, reference):
+        """The shipped decoder, and the batch decode continuing a longer
+        stream (the carry the live wire relies on), both match the
+        oracle field for field."""
+        shipped = list(iter_decoded_events(iter(records), NAMES))
+        expected = list(reference.iter_decoded_events(iter(records), NAMES))
+        assert len(shipped) == len(expected)
+        for got, want in zip(shipped, expected):
             assert _event_fields(got) == _event_fields(want)
+        continued = columnar.decode_columns(
+            columnar.columns_from_records(records),
+            NAMES,
+            start_index=start_index,
+            time_base_us=time_base_us,
+        ).to_events()
+        expected = list(
+            reference.iter_decoded_events(
+                iter(records),
+                NAMES,
+                start_index=start_index,
+                time_base_us=time_base_us,
+            )
+        )
+        assert [_event_fields(e) for e in continued] == [
+            _event_fields(e) for e in expected
+        ]
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=80), width_bits=st.sampled_from([8, 16, 24]))
     def test_narrow_counter_widths_agree(self, records, width_bits):
         mask = (1 << width_bits) - 1
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
-        assert decode_records(narrowed, NAMES, width_bits=width_bits, decode="columnar") == decode_records(
-            narrowed, NAMES, width_bits=width_bits, decode="reference"
-        )
+        assert decode_records(
+            narrowed, NAMES, width_bits=width_bits
+        ) == reference.decode_records(narrowed, NAMES, width_bits=width_bits)
 
     def test_zero_length_capture(self):
-        assert decode_records([], NAMES, decode="columnar") == []
-        assert decode_records([], NAMES, decode="reference") == []
+        assert decode_records([], NAMES) == []
+        assert reference.decode_records([], NAMES) == []
         assert decode_record_columns(b"").to_records() == []
 
     def test_chunk_boundary_wrap_carry(self):
@@ -260,9 +258,9 @@ class TestEventParity:
             # Big steps so the counter wraps inside *and* across batches.
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
-        reference = decode_records(records, NAMES, decode="reference")
-        via_columns = decode_records(records, NAMES, decode="columnar")
-        assert via_columns == reference
+        expected = reference.decode_records(records, NAMES)
+        via_columns = decode_records(records, NAMES)
+        assert via_columns == expected
         # Absolute time must climb monotonically across batch seams.
         times = [e.time_us for e in via_columns]
         assert times == sorted(times)
@@ -273,8 +271,8 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert decode_records(records, NAMES, decode="columnar") == decode_records(
-            records, NAMES, decode="reference"
+        assert decode_records(records, NAMES) == reference.decode_records(
+            records, NAMES
         )
 
     @DIFF_SETTINGS
@@ -283,9 +281,9 @@ class TestEventParity:
         """A 24-bit snapshot fed as 16-bit: same ValueError, same message."""
         poisoned = list(records) + [RawRecord(tag=KNOWN_TAGS[0], time=0x1_0000)]
         errors = []
-        for decode in ("reference", "columnar"):
+        for decode in (reference.decode_records, decode_records):
             with pytest.raises(ValueError) as excinfo:
-                decode_records(poisoned, NAMES, width_bits=16, decode=decode)
+                decode(poisoned, NAMES, width_bits=16)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
@@ -301,26 +299,37 @@ class TestSummaryParity:
         include_swtch=st.booleans(),
     )
     def test_summary_bytes_identical(self, records, chunk_records, include_swtch):
-        reference = summarize_records(
-            iter(records), NAMES, include_swtch=include_swtch
+        """The fold over columnar batches of any size, and over records,
+        matches the batch call-tree analyser over oracle events."""
+        expected = reference.summarize_records(
+            records, NAMES, include_swtch=include_swtch
         )
-        batches = (
-            columnar.columns_from_records(records[i : i + chunk_records])
-            for i in range(0, len(records), chunk_records)
+        accumulator = SummaryAccumulator(NAMES, include_swtch=include_swtch)
+        for i in range(0, len(records), chunk_records):
+            accumulator.feed_columns(
+                columnar.columns_from_records(records[i : i + chunk_records])
+            )
+        via_columns = accumulator.summary()
+        via_records = (
+            SummaryAccumulator(NAMES, include_swtch=include_swtch)
+            .feed_records(iter(records))
+            .summary()
         )
-        via_columns = summarize_columns(batches, NAMES, include_swtch=include_swtch)
-        assert via_columns.format() == reference.format()
-        assert _summary_hash(via_columns) == _summary_hash(reference)
+        assert via_columns.format() == expected.format()
+        assert via_records.format() == expected.format()
+        assert _summary_hash(via_columns) == _summary_hash(expected)
 
     @DIFF_SETTINGS
     @given(records=record_streams())
     def test_summary_bytes_identical_on_raw_streams(self, records):
         """Unknown tags and unmatched exits summarise identically too."""
-        reference = summarize_records(iter(records), NAMES)
-        via_columns = summarize_columns(
-            [columnar.columns_from_records(records)], NAMES
+        expected = reference.summarize_records(records, NAMES)
+        via_columns = (
+            SummaryAccumulator(NAMES)
+            .feed_columns(columnar.columns_from_records(records))
+            .summary()
         )
-        assert via_columns.format() == reference.format()
+        assert via_columns.format() == expected.format()
 
     @DIFF_SETTINGS
     @given(
@@ -331,9 +340,10 @@ class TestSummaryParity:
     def test_carried_state_identical_after_mid_batch_error(
         self, prefix, suffix, bad_offset
     ):
-        """An over-width snapshot mid-batch leaves both accumulators in the
-        same state: after catching the (identical) error, feeding the rest
-        of the stream still produces byte-identical summaries.
+        """An over-width snapshot mid-batch raises the oracle's error and
+        leaves the accumulator exactly as if the stream had never held
+        the bad record: feeding the rest still matches the oracle's
+        summary of the stream without it.
 
         The accumulators run at 16-bit width so a legal 24-bit
         ``RawRecord`` snapshot can poison the batch.
@@ -342,7 +352,13 @@ class TestSummaryParity:
         prefix = [RawRecord(tag=r.tag, time=r.time & mask) for r in prefix]
         suffix = [RawRecord(tag=r.tag, time=r.time & mask) for r in suffix]
         poison = RawRecord(tag=KNOWN_TAGS[1], time=mask + 1)
-        bad_batch = list(prefix[: bad_offset + 3]) + [poison]
+        good = list(prefix[: bad_offset + 3])
+        bad_batch = good + [poison]
+        with pytest.raises(ValueError) as excinfo:
+            reference.decode_records(bad_batch, NAMES, width_bits=16)
+        expected_text = reference.summarize_records(
+            prefix + good + suffix, NAMES, width_bits=16
+        ).format()
 
         def run(feed):
             accumulator = SummaryAccumulator(NAMES, width_bits=16)
@@ -356,57 +372,11 @@ class TestSummaryParity:
             feed(accumulator, suffix)
             return message, accumulator.summary().format()
 
-        ref_message, ref_text = run(
-            lambda acc, recs: acc.feed_records(recs)
-        )
-        col_message, col_text = run(
-            lambda acc, recs: acc.feed_columns(columnar.columns_from_records(recs))
-        )
-        assert col_message == ref_message
-        assert col_text == ref_text
-
-
-# -- shard-planner layer -----------------------------------------------------
-
-
-class TestPlannerParity:
-    @DIFF_SETTINGS
-    @given(
-        records=call_streams(),
-        max_shard_events=st.integers(min_value=4, max_value=64),
-    )
-    def test_shard_plans_identical(self, records, max_shard_events):
-        reference = plan_shards(
-            records, NAMES, max_shard_events=max_shard_events, decode="reference"
-        )
-        via_columns = plan_shards(
-            records, NAMES, max_shard_events=max_shard_events, decode="columnar"
-        )
-        assert via_columns == reference
-
-    def test_analyze_sharded_summary_identical(self):
-        records = []
-        t = 0
-        swtch = NAMES.by_name("swtch")
-        functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy")]
-        for block in range(600):
-            records.append(RawRecord(tag=swtch.exit_value, time=t & TIME_MASK))
-            t += 7
-            fn = functions[block % 3]
-            records.append(RawRecord(tag=fn.entry_value, time=t & TIME_MASK))
-            t += 11
-            records.append(RawRecord(tag=fn.exit_value, time=t & TIME_MASK))
-            t += 5
-            records.append(RawRecord(tag=swtch.entry_value, time=t & TIME_MASK))
-            t += 23
-        reference = analyze_sharded(
-            records, NAMES, workers=2, max_shard_events=256, decode="reference"
-        )
-        via_columns = analyze_sharded(
-            records, NAMES, workers=2, max_shard_events=256, decode="columnar"
-        )
-        assert via_columns.summary.format() == reference.summary.format()
-        assert [p for p in via_columns.plans] == [p for p in reference.plans]
+        for feed in (
+            lambda acc, recs: acc.feed_records(recs),
+            lambda acc, recs: acc.feed_columns(columnar.columns_from_records(recs)),
+        ):
+            assert run(feed) == (str(excinfo.value), expected_text)
 
 
 # -- entry/exit pairing ------------------------------------------------------

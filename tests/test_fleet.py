@@ -235,9 +235,7 @@ class TestDeterminism:
         plan = plan_fleet(tmp_path)
         shards = []
         for capture in plan.captures:
-            _, accumulator = _summarize_one(
-                capture.path, names, "columnar", "off", None
-            )
+            _, accumulator = _summarize_one(capture.path, names, "off", None)
             shards.append((capture.index, accumulator))
         ordered = merge_fleet(names, list(shards)).summary().format()
         for seed in range(3):

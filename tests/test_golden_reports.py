@@ -21,7 +21,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.summary import summarize
+from repro.analysis.summary import fold_capture, summarize
 from repro.analysis.trace import format_trace
 from repro.system import build_case_study
 
@@ -95,10 +95,15 @@ def test_streaming_matches_figure3_golden(network_capture):
         assert text == (GOLDEN_DIR / "figure3_network_summary.txt").read_text()
 
 
-def test_sharded_matches_figure5_golden(forkexec_capture):
+def test_fold_capture_matches_figure5_golden(forkexec_capture, tmp_path):
+    """The file fold every ingest entry point shares reproduces the
+    golden text from the saved capture's bytes."""
     system, capture = forkexec_capture
-    result = system.summarize_sharded(capture, workers=2, max_shard_events=512)
-    text = result.summary.format(limit=20) + "\n"
+    path = tmp_path / "figure5.mpf"
+    capture.save(path)
+    result = fold_capture(path, capture.names)
+    assert result.status == "ok"
+    text = result.accumulator.summary().format(limit=20) + "\n"
     if not os.environ.get("REGEN_GOLDEN"):
         assert text == (GOLDEN_DIR / "figure5_forkexec_summary.txt").read_text()
 

@@ -22,6 +22,7 @@ import zlib
 
 import pytest
 
+import reference_decode
 from stream_helpers import make_names
 from repro.analysis.columnar import (
     PairingCarry,
@@ -30,7 +31,7 @@ from repro.analysis.columnar import (
     decode_columns,
     pair_entry_exits,
 )
-from repro.analysis.summary import SummaryAccumulator, summarize_records
+from repro.analysis.summary import SummaryAccumulator
 from repro.db.query import FUNCTION_SORTS
 from repro.lint import lint_live_drain, lint_live_stream, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
@@ -42,7 +43,6 @@ from repro.profiler.upload import (
     CaptureFormatError,
     CaptureStreamWriter,
     iter_capture_columns,
-    iter_capture_file,
     read_capture,
     salvage_capture_stream,
 )
@@ -131,7 +131,11 @@ class TestOpenStreamWire:
 
         thread = threading.Thread(target=produce)
         thread.start()
-        got = list(iter_capture_file(str(fifo)))
+        got = [
+            record
+            for batch in iter_capture_columns(str(fifo))
+            for record in batch.to_records()
+        ]
         thread.join()
         assert got == records
 
@@ -173,7 +177,7 @@ class TestLiveBatchIdentity:
         live = analyzer.consume(
             io.BytesIO(_wire_bytes(records, chunk=77)), chunk_records=61
         )
-        batch = summarize_records(iter(records), names)
+        batch = reference_decode.summarize_records(records, names)
         assert live.format() == batch.format()
         assert analyzer.windows >= 1
         assert analyzer.records_total == len(records)

@@ -7,6 +7,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_decode import iter_capture_file, iter_record_stream, load_records
 from repro.profiler.ram import RawRecord, TraceRam
 from repro.profiler.upload import (
     MAGIC,
@@ -15,10 +16,7 @@ from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_capture_file,
     iter_record_columns,
-    iter_record_stream,
-    load_records,
     read_capture,
     read_capture_file,
     read_capture_meta,
@@ -113,8 +111,17 @@ class TestEpromReadback:
         assert EpromReadback(ram).read_all() == list(ram.records())
 
 
+def _flat(batches) -> list:
+    return [record for batch in batches for record in batch.to_records()]
+
+
 class TestStreamingCaptureIO:
-    """The chunked readers/writers behind ``analyze --stream``."""
+    """The chunked readers/writers behind ``analyze --stream``.
+
+    ``iter_record_stream``/``iter_capture_file`` are the per-record
+    oracle readers (``tests/reference_decode.py``); each error contract
+    they pin is pinned on the shipped ``iter_capture_columns`` too.
+    """
 
     def _file(self, records):
         buffer = io.BytesIO()
@@ -174,6 +181,39 @@ class TestStreamingCaptureIO:
         records = [RawRecord(tag=1, time=2)]
         blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
         assert list(iter_capture_file(io.BytesIO(blob), verify_count=False)) == records
+
+    def test_iter_capture_columns_roundtrip(self, tmp_path):
+        records = [RawRecord(tag=i, time=i * 3) for i in range(50)]
+        path = tmp_path / "run.mpf"
+        write_capture_file(path, records)
+        batches = list(iter_capture_columns(path, chunk_records=8))
+        assert [len(batch) for batch in batches] == [8] * 6 + [2]
+        assert _flat(batches) == records
+        assert _flat(iter_capture_columns(self._file(records))) == records
+
+    def test_iter_capture_columns_bad_magic(self):
+        with pytest.raises(CaptureFormatError, match="magic"):
+            list(iter_capture_columns(io.BytesIO(b"NOPE\x00\x00\x00\x00")))
+
+    def test_iter_capture_columns_count_mismatch_raises_at_end(self):
+        """Every whole batch is yielded before the count check fires."""
+        records = [RawRecord(tag=1, time=2), RawRecord(tag=3, time=4)]
+        blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
+        iterator = iter_capture_columns(io.BytesIO(blob), chunk_records=1)
+        assert next(iterator).to_records() == records[:1]
+        assert next(iterator).to_records() == records[1:]
+        with pytest.raises(CaptureFormatError, match="claims 9"):
+            next(iterator)
+
+    def test_iter_capture_columns_count_check_can_be_disabled(self):
+        records = [RawRecord(tag=1, time=2)]
+        blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
+        batches = iter_capture_columns(io.BytesIO(blob), verify_count=False)
+        assert _flat(batches) == records
+
+    def test_iter_capture_columns_rejects_bad_chunk_size(self):
+        with pytest.raises(ValueError):
+            next(iter_capture_columns(self._file([]), chunk_records=0))
 
     def test_write_capture_stream_from_generator(self, tmp_path):
         path = tmp_path / "gen.mpf"

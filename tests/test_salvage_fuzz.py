@@ -1,12 +1,14 @@
-"""Seeded corruption fuzzing: the salvaging decoder, columnar vs reference.
+"""Seeded corruption fuzzing: the salvaging decoder against the oracle.
 
 A deterministic generator mutates a known-good capture — truncation,
 bit flips, count-field lies, magic damage, and stacked combinations —
-and every mutant goes through :func:`salvage_capture_bytes` twice, once
-per decode engine.  The engines must recover the same records, report
-the same :class:`CaptureDefect` list and the same metadata, for every
-mutant: salvage is exactly the path where the two implementations are
-most likely to drift, because it runs on *damaged* byte streams.
+and every mutant goes through :func:`salvage_capture_bytes` twice: once
+as shipped, once with the recovered payload decoded by the per-record
+oracle (``tests/reference_decode.py``).  Both must recover the same
+records, report the same :class:`CaptureDefect` list and the same
+metadata, for every mutant: salvage is exactly the path where the decode
+engine is most likely to drift, because it runs on *damaged* byte
+streams.
 
 Three generated mutants are frozen in ``tests/golden/`` together with
 their expected salvage results (``salvage_fuzz_expected.json``), so the
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_decode
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     dump_records,
@@ -87,9 +90,16 @@ def mutate(blob: bytes, kind: str, rng: random.Random) -> bytes:
     return bytes(data)
 
 
+#: The two salvage runs every mutant goes through.
+DECODERS = {
+    "reference": reference_decode.salvage_capture_bytes,
+    "columnar": salvage_capture_bytes,
+}
+
+
 def salvage_fingerprint(blob: bytes, decode: str) -> dict:
     """Everything observable about one salvage run, JSON-serialisable."""
-    result = salvage_capture_bytes(blob, decode=decode)
+    result = DECODERS[decode](blob)
     return {
         "records": len(result.records),
         "records_sha256": hashlib.sha256(
@@ -142,8 +152,8 @@ class TestSalvageEngineParity:
     def test_pristine_capture_salvages_clean(self):
         for version in (1, 2):
             blob = base_capture(version)
-            for decode in ("reference", "columnar"):
-                result = salvage_capture_bytes(blob, decode=decode)
+            for salvage in DECODERS.values():
+                result = salvage(blob)
                 assert result.defects == []
                 assert len(result.records) == 120
 

@@ -1,9 +1,8 @@
-"""Property-style parity tests: batch == streaming == sharded-merged.
+"""Property-style parity tests: batch call tree == streaming fold.
 
 Fifty randomly generated traces (fixed seeds, no wall clock anywhere) are
-pushed through all three analysis paths; the summaries must be
-byte-identical and the anomaly lists must match the batch reconstruction
-exactly.  The generator deliberately produces *hostile* streams — random
+pushed through both analysis paths; the summaries must be byte-identical
+and the anomaly lists must match the batch reconstruction exactly.  The generator deliberately produces *hostile* streams — random
 nesting, unmatched exits, context switches mid-call, inline marks, and
 time deltas large enough to wrap the 24-bit counter many times — because
 the parity claim is about the pipeline, not about well-formed kernels.
@@ -18,13 +17,8 @@ import pytest
 from stream_helpers import make_names
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded, plan_shards
-from repro.analysis.summary import (
-    SummaryAccumulator,
-    summarize,
-    summarize_capture_streaming,
-    summarize_records,
-)
+from repro.analysis.columnar import columns_from_records
+from repro.analysis.summary import SummaryAccumulator, summarize
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 
@@ -82,7 +76,7 @@ def random_records(seed: int, length: int = 400, wild_deltas: bool = False):
 
 
 def orderly_records(seed: int, blocks: int = 60):
-    """Well-formed scheduling blocks (every shard planner cut is legal)."""
+    """Well-formed scheduling blocks: every process is idle between them."""
     rng = random.Random(seed)
     records = []
     t = rng.randrange(1 << 24)
@@ -111,21 +105,21 @@ def batch_summary(records):
     return summarize(analysis), analysis.anomalies
 
 
-def assert_parity(records, *, max_shard_events=64, workers=2):
+def assert_parity(records, *, batch_records=64):
+    """Fold *records* in columnar batches of ``batch_records`` and check
+    the summary and anomalies against the batch call tree."""
     batch, batch_anomalies = batch_summary(records)
-    batch_text = batch.format()
-
-    streamed = summarize_records(iter(records), NAMES)
-    assert streamed.format() == batch_text
-
-    sharded = analyze_sharded(
-        records, NAMES, max_shard_events=max_shard_events, workers=workers
-    )
-    assert sharded.summary.format() == batch_text
-    assert [(a.index, a.kind, a.detail) for a in sharded.anomalies] == [
+    accumulator = SummaryAccumulator(NAMES)
+    for start in range(0, len(records), batch_records):
+        accumulator.feed_columns(
+            columns_from_records(records[start : start + batch_records])
+        )
+    streamed = accumulator.summary()
+    assert streamed.format() == batch.format()
+    assert [(a.index, a.kind, a.detail) for a in accumulator.anomalies] == [
         (a.index, a.kind, a.detail) for a in batch_anomalies
     ]
-    return sharded
+    return streamed
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -137,19 +131,20 @@ def test_hostile_trace_parity(seed):
 def test_multiwrap_trace_parity(seed):
     """Deltas up to 2^22 us: the 24-bit counter wraps dozens of times."""
     records = random_records(seed, length=400, wild_deltas=True)
-    sharded = assert_parity(records)
+    streamed = assert_parity(records)
     # The point of the exercise: the trace really did span many wraps.
     batch, _ = batch_summary(records)
     assert batch.wall_us > (1 << 24)
-    assert sharded.summary.wall_us == batch.wall_us
+    assert streamed.wall_us == batch.wall_us
 
 
 @pytest.mark.parametrize("seed", range(40, 50))
 def test_orderly_trace_shards_and_matches(seed):
-    """Well-formed blocks must actually shard (cuts exist) and still match."""
+    """Well-formed blocks folded in small batches, cut anywhere — mid-call
+    and mid-block included — still match."""
     records = orderly_records(seed)
-    sharded = assert_parity(records, max_shard_events=48, workers=4)
-    assert sharded.shard_count >= 3
+    assert len(records) > 3 * 48  # at least three batch seams
+    assert_parity(records, batch_records=48)
 
 
 def test_wrap_across_chunk_boundary():
@@ -188,32 +183,5 @@ def test_streaming_capture_helper_matches_batch(simple_names):
         ("<", "main", 200),
         (">", "swtch", 210),
     )
-    assert (
-        summarize_capture_streaming(capture).format()
-        == summarize(analyze_capture(capture)).format()
-    )
-
-
-def test_sharding_falls_back_when_no_quiescent_points():
-    """A tsleep-style trace (stacks stay suspended) cannot be cut safely:
-    the planner must grow the shard rather than split call state."""
-    swtch = NAMES.by_name("swtch")
-    alpha = NAMES.by_name("alpha")
-    bravo = NAMES.by_name("bravo")
-    records = []
-    t = 0
-    # Every process blocks mid-call: at each swtch entry some suspended
-    # stack is non-empty, so no cut point is ever quiescent.
-    for _ in range(50):
-        records.append(RawRecord(tag=swtch.exit_value, time=t & MASK))
-        t += 3
-        records.append(RawRecord(tag=alpha.entry_value, time=t & MASK))
-        t += 7
-        records.append(RawRecord(tag=bravo.entry_value, time=t & MASK))
-        t += 5
-        records.append(RawRecord(tag=swtch.entry_value, time=t & MASK))
-        t += 11
-    plans = plan_shards(records, NAMES, max_shard_events=16)
-    assert len(plans) == 1
-    assert len(plans[0]) == len(records)
-    assert_parity(records, max_shard_events=16)
+    streamed = SummaryAccumulator(capture.names).feed_records(capture.records)
+    assert streamed.summary().format() == summarize(analyze_capture(capture)).format()

@@ -21,7 +21,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded
+from repro.analysis.summary import fold_capture
 from repro.instrument.namefile import NameTable
 from repro.lint import lint_telemetry
 from repro.profiler.capture import Capture
@@ -501,20 +501,16 @@ class TestProgressReporter:
         with pytest.raises(ValueError):
             ProgressReporter(mode="loud")
 
-    def test_sharded_progress_callback_sees_every_event(self):
+    def test_fold_progress_ticks_once_per_batch(self):
         names = NameTable.read(GOLDEN_DIR / "case_study.tags")
-        capture = Capture.load(GOLDEN_DIR / "figure5_forkexec_v2.mpf", names)
+        path = GOLDEN_DIR / "figure5_forkexec_v2.mpf"
+        capture = Capture.load(path, names)
         ticks: list[int] = []
-        result = analyze_sharded(
-            capture.records,
-            capture.names,
-            max_shard_events=64,
-            workers=2,
-            width_bits=capture.counter_width_bits,
-            progress=ticks.append,
-        )
-        assert sum(ticks) == len(capture.records)
-        assert len(ticks) == result.shard_count
+        result = fold_capture(path, names, progress=ticks.append)
+        assert result.status == "ok"
+        assert sum(ticks) == len(capture.records) == result.records
+        # One tick per 8192-record batch, never one per record.
+        assert len(ticks) == -(-len(capture.records) // 8192)
 
 
 # -- the P4xx lint family -----------------------------------------------------
@@ -613,18 +609,19 @@ class TestCliTelemetry:
         span_names = {d["name"] for d in docs if d["type"] == "span"}
         assert "capture.run" in span_names
 
-    def test_analyze_shards_telemetry_has_pipeline_spans(self, tmp_path):
-        path = tmp_path / "pipe.jsonl"
+    def test_analyze_stream_telemetry_has_fold_span(self, tmp_path):
+        path = tmp_path / "fold.jsonl"
         run_cli(
             "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--shards", "2", "--shard-events", "64",
-            "--telemetry", str(path),
+            "--stream", "--telemetry", str(path),
         )
         docs = [json.loads(line) for line in path.read_text().splitlines()]
-        span_names = {d["name"] for d in docs if d["type"] == "span"}
-        assert {"pipeline.analyze_sharded", "pipeline.plan",
-                "pipeline.shard", "pipeline.merge"} <= span_names
+        span_names = [d["name"] for d in docs if d["type"] == "span"]
+        assert span_names.count("analysis.fold_capture") == 1
+        assert "upload.decode_chunk" in span_names
+        metric_names = {d["name"] for d in docs if d["type"] == "metric"}
+        assert "analysis.events_per_sec" in metric_names
 
     def test_telemetry_prometheus_output_validates(self, tmp_path):
         path = tmp_path / "run.prom"
