@@ -9,7 +9,8 @@ horizon, fused cost charging, pre-resolved Profiler tap, cached bus
 decode — while producing byte-identical captures.
 
 Measured here, optimized engine vs the preserved reference engine
-(``ReferenceInterruptQueue`` + linear decode + step-by-step charging):
+(``tests/reference_capture.py``: single-heap interrupt queue + linear
+decode + step-by-step charging):
 
 * a synthetic trigger storm (default 500k enter/leave pairs = 1M trigger
   events) with a periodic re-arming interrupt line keeping the queue
@@ -47,10 +48,16 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.kfunc import KFuncMeta
 from repro.profiler.eprom import PiggyBackAdapter
 from repro.profiler.hardware import ProfilerBoard
-from repro.sim.engine import InterruptLine, ReferenceInterruptQueue
+from repro.sim.engine import InterruptLine
 from repro.sim.machine import Machine
 from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
+
+from reference_capture import (
+    ReferenceKernel,
+    ReferenceMachine,
+    build_reference_case_study,
+)
 
 GOLDEN_HASH_PATH = (
     pathlib.Path(__file__).parent.parent / "tests" / "golden" / "capture_hotpath.sha256"
@@ -82,13 +89,10 @@ def min_speedup() -> float:
 
 
 def make_storm_kernel(engine: str) -> tuple[Kernel, ProfilerBoard]:
-    machine = Machine()
     if engine == "reference":
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
-    kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
+        kernel = ReferenceKernel(ReferenceMachine())
+    else:
+        kernel = Kernel(Machine())
     board = ProfilerBoard(depth=BOARD_DEPTH)
     kernel.attach_profiler(PiggyBackAdapter(board))
     kernel.set_profile_map(dict(STORM_TAGS), {})
@@ -147,7 +151,8 @@ def run_storm(engine: str, pairs: int) -> dict:
 
 def run_figure4_workload(engine: str) -> dict:
     """The golden network-receive workload on the full system."""
-    system = build_case_study(engine=engine)
+    build = build_reference_case_study if engine == "reference" else build_case_study
+    system = build()
     start = time.perf_counter()
     capture = system.profile(
         lambda: network_receive(system.kernel, total_packets=6),

@@ -272,8 +272,8 @@ def figure_parity(workload: str) -> tuple[str, str]:
             lambda: fork_exec_storm(system.kernel, iterations=2),
             label="fork/exec storm (Figure 5)",
         )
-    batch = system.summarize(capture).format()
-    streamed = system.summarize_streaming(capture).format()
+    batch = summarize(system.analyze(capture)).format()
+    streamed = system.summarize(capture).format()
     return batch, streamed
 
 

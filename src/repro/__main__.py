@@ -8,7 +8,7 @@ Usage examples::
     python -m repro analyze run.mpf --names run.tags --report trace
     python -m repro analyze run.mpf --names run.tags --strict
     python -m repro analyze damaged.mpf --names run.tags --salvage
-    python -m repro analyze big.mpf --names run.tags --stream --progress \
+    python -m repro analyze big.mpf --names run.tags --progress \
         --telemetry run.fold.jsonl
     python -m repro capture doctor damaged.mpf -o repaired.mpf
     python -m repro fleet ingest captures/ --names run.tags --jobs 4 --salvage
@@ -29,7 +29,7 @@ requested report(s).
 Observability: ``--telemetry PATH`` on capture/analyze enables the
 self-telemetry singleton for the run and writes the snapshot to PATH on
 the way out (format inferred from the extension); ``--progress`` adds a
-records/sec + ETA heartbeat on stderr for long ``--stream`` runs.
+records/sec + ETA heartbeat on stderr while a summary folds.
 Neither writes a byte to stdout, so report output is identical with or
 without them.
 """
@@ -37,17 +37,16 @@ without them.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.analysis.callstack import analyze_capture
+from repro.analysis.callstack import Anomaly, CallTreeAnalysis, analyze_capture
 from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import gprof_report
 from repro.analysis.timeline import render_timeline
-from repro.analysis.summary import ProfileSummary, fold_capture, summarize
+from repro.analysis.summary import ProfileSummary, fold_capture, summarize_capture
 from repro.analysis.trace import format_trace
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
@@ -59,9 +58,11 @@ from repro.lint import (
     render_json,
     render_text,
 )
-from repro.profiler.capture import Capture
+from repro.profiler.capture import Capture, warn_mpf1_defaults
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
+    CaptureDefect,
+    CaptureFormatError,
     cached_capture_meta,
     salvage_capture,
     write_capture_file,
@@ -117,26 +118,36 @@ def _desync_footer(desyncs: int) -> str:
     return f"kstack desyncs = {desyncs}{note}"
 
 
+def _count_desyncs(anomalies: Sequence[Anomaly]) -> int:
+    """The capture-side desync signature, for runs with no live kernel to
+    ask: exits that missed or mismatched a frame."""
+    return sum(
+        1 for anomaly in anomalies if anomaly.kind in ("missed-exit", "unmatched-exit")
+    )
+
+
+def _print_summary(
+    summary: ProfileSummary, desyncs: int, summary_limit: int, out: Callable
+) -> None:
+    """The summary report: the Figure 3 table and its desync footer."""
+    out(summary.format(limit=summary_limit))
+    out(_desync_footer(desyncs))
+
+
 def _print_reports(
-    capture: Capture,
     reports: Sequence[str],
     summary_limit: int,
     out: Callable,
-    desyncs: Optional[int] = None,
+    summary: Optional[ProfileSummary],
+    desyncs: int,
+    analysis: Optional[CallTreeAnalysis],
 ) -> None:
-    analysis = analyze_capture(capture)
-    if desyncs is None:
-        # No live kernel to ask (analyze path): count the capture-side
-        # signature instead — exits that missed or mismatched a frame.
-        desyncs = sum(
-            1
-            for anomaly in analysis.anomalies
-            if anomaly.kind in ("missed-exit", "unmatched-exit")
-        )
+    """Print *reports* in order: the summary from the fold, every other
+    report from the call tree (built only when one was asked for)."""
     for report in reports:
         if report == "summary":
-            out(summarize(analysis).format(limit=summary_limit))
-            out(_desync_footer(desyncs))
+            assert summary is not None
+            _print_summary(summary, desyncs, summary_limit, out)
         elif report == "trace":
             out(format_trace(analysis))
         elif report == "gprof":
@@ -150,15 +161,8 @@ def _print_reports(
         out("")
 
 
-def _check_stream_flag(args: argparse.Namespace) -> None:
-    """``--stream`` produces the function summary only: every other
-    report needs the materialised call tree, which is exactly what the
-    streaming fold exists to avoid building."""
-    if args.stream and args.report != ["summary"]:
-        raise SystemExit(
-            "--stream produces the summary report only; drop the other "
-            "--report choices or run without --stream"
-        )
+def _needs_tree(reports: Sequence[str]) -> bool:
+    return any(report != "summary" for report in reports)
 
 
 def _telemetry_begin(args: argparse.Namespace) -> None:
@@ -206,11 +210,11 @@ def _make_progress(
     return ProgressReporter(total, label=label, mode=mode)
 
 
-def _stream_total(path) -> Optional[int]:
+def _header_total(path) -> Optional[int]:
     """Best-effort record count from the capture header (for the ETA).
 
-    Unreadable or damaged headers return ``None`` — the streaming reader
-    itself will raise the real, well-worded error moments later.  So do
+    Unreadable or damaged headers return ``None`` — the fold itself will
+    report the real, well-worded error moments later.  So do
     open-ended (streamed) captures: their header count is a sentinel,
     and the true count only exists in the end-of-stream trailer.
     """
@@ -223,28 +227,7 @@ def _stream_total(path) -> Optional[int]:
     return meta.count or None
 
 
-def _stream_summary(
-    args: argparse.Namespace,
-    source: Union[str, bytes],
-    names: NameTable,
-    total: Optional[int],
-) -> ProfileSummary:
-    """Fold *source* through :func:`fold_capture`, the ``--progress``
-    heartbeat ticking once per batch.  A capture that will not fold
-    raises the error that stopped it."""
-    progress = _make_progress(args, total, label="stream")
-    try:
-        result = fold_capture(source, names, progress=progress.update)
-    finally:
-        progress.finish()
-    if result.fault is not None:
-        raise result.fault
-    assert result.accumulator is not None
-    return result.accumulator.summary()
-
-
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:
-    _check_stream_flag(args)
     _telemetry_begin(args)
     try:
         return _cmd_capture(args, out)
@@ -273,44 +256,40 @@ def _cmd_capture(args: argparse.Namespace, out: Callable) -> int:
     if args.names:
         system.names.write(args.names)
         out(f"name/tag file written to {args.names}")
-    desyncs = system.kernel.stats.get("kstack_desync", 0)
-    if args.stream:
-        # Fold the capture's file image: the same bytes, and the same
-        # fold, that ``analyze --stream`` reads back from ``--save``.
-        image = io.BytesIO()
-        capture.save(image)
-        summary = _stream_summary(
-            args, image.getvalue(), capture.names, len(capture.records)
-        )
-        out(summary.format(limit=args.summary_limit))
-        out(_desync_footer(desyncs))
-        out("")
-    else:
-        _print_reports(
-            capture, args.report, args.summary_limit, out, desyncs=desyncs
-        )
+    _print_reports(
+        args.report,
+        args.summary_limit,
+        out,
+        summarize_capture(capture) if "summary" in args.report else None,
+        system.kernel.stats.get("kstack_desync", 0),
+        analyze_capture(capture) if _needs_tree(args.report) else None,
+    )
     return 0
 
 
-def _defect_footer(capture: Capture, source: str, out: Callable) -> None:
-    """The salvage footer appended below every ``analyze --salvage`` report."""
-    if capture.defects:
-        out(f"salvage: {len(capture.defects)} defect(s) tolerated in {source}:")
-        for defect in capture.defects:
+def _defect_footer(
+    defects: Sequence[CaptureDefect], source: str, out: Callable
+) -> None:
+    """The salvage footer appended below every ``--salvage`` report."""
+    if defects:
+        out(f"salvage: {len(defects)} defect(s) tolerated in {source}:")
+        for defect in defects:
             out(f"  [{defect.kind}] {defect.message}")
     else:
         out(f"salvage: no defects found in {source}")
 
 
+def _bad_input(source: str, problem: Union[str, Exception]) -> int:
+    """Report an input ``analyze`` cannot read on one stderr line; exit 2."""
+    if isinstance(problem, OSError) and problem.strerror:
+        problem = problem.strerror
+    print(f"analyze: {source}: {problem}", file=sys.stderr)
+    return 2
+
+
 def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
-    _check_stream_flag(args)
     if args.salvage and args.strict:
         raise SystemExit("--salvage and --strict are mutually exclusive")
-    if args.salvage and args.stream:
-        raise SystemExit(
-            "--stream cannot salvage: resynchronisation needs the whole "
-            "file; drop one of the flags"
-        )
     _telemetry_begin(args)
     try:
         return _cmd_analyze(args, out)
@@ -319,7 +298,10 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
-    names = NameTable.read(*args.names)
+    try:
+        names = NameTable.read(*args.names)
+    except OSError as exc:
+        return _bad_input(exc.filename or args.names[0], exc)
     if args.strict:
         lint_report = lint_capture_file(args.capture, names)
         out(render_text(lint_report))
@@ -330,26 +312,44 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
                 f"{args.capture}; refusing to analyze a corrupt stream"
             )
             return 1
-    if args.stream:
-        # Never materialise the capture: decode and summarise straight off
-        # the file in O(chunk) memory.
-        summary = _stream_summary(
-            args, args.capture, names, _stream_total(args.capture)
-        )
-        out(f"streamed {summary.event_count} events from {args.capture}")
-        out(summary.format(limit=args.summary_limit))
-        out("")
-        return 0
-    capture = Capture.load(
-        args.capture,
-        names,
-        label=f"cli: {args.capture}",
-        salvage=args.salvage,
-    )
-    out(f"loaded {len(capture)} events from {args.capture}")
-    _print_reports(capture, args.report, args.summary_limit, out)
+    summary: Optional[ProfileSummary] = None
+    desyncs = 0
+    if "summary" in args.report:
+        # The summary folds straight off the file in O(chunk) memory.
+        progress = _make_progress(args, _header_total(args.capture), label="fold")
+        try:
+            result = fold_capture(
+                args.capture, names, salvage=args.salvage, progress=progress.update
+            )
+        finally:
+            progress.finish()
+        if result.accumulator is None:
+            fault = result.fault
+            problem = fault if isinstance(fault, OSError) else result.error
+            return _bad_input(args.capture, problem)
+        summary = result.accumulator.summary()
+        desyncs = _count_desyncs(result.accumulator.anomalies)
+        count, defects = result.records, result.defects
+    analysis: Optional[CallTreeAnalysis] = None
+    if _needs_tree(args.report):
+        try:
+            capture = Capture.load(
+                args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
+            )
+        except (OSError, CaptureFormatError) as exc:
+            return _bad_input(args.capture, exc)
+        analysis = analyze_capture(capture)
+        if summary is None:
+            count, defects = len(capture), capture.defects
+    elif result.meta is not None and result.meta.version == 1:
+        # Capture.load warns on the tree path; the fold itself stays
+        # silent so fleet and db ingest do not.
+        warn_mpf1_defaults(args.capture)
+    verb = "streamed" if args.stream else "loaded"
+    out(f"{verb} {count} events from {args.capture}")
+    _print_reports(args.report, args.summary_limit, out, summary, desyncs, analysis)
     if args.salvage:
-        _defect_footer(capture, args.capture, out)
+        _defect_footer(defects, args.capture, out)
     return 0
 
 
@@ -450,7 +450,7 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
     output = args.output or str(Path(args.capture).with_suffix(".trace.json"))
     write_text_atomic(output, json.dumps(document, indent=1))
     if args.salvage:
-        _defect_footer(capture, args.capture, out)
+        _defect_footer(capture.defects, args.capture, out)
     out(
         f"chrome trace written to {output}: "
         f"{len(document['traceEvents'])} event(s), "
@@ -899,7 +899,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     """``repro live analyze``: fold an MPF2 wire stream as it arrives.
 
     Stdout carries exactly the drained summary report (so CI can diff it
-    against batch ``analyze --stream``); window lines, the metrics URL
+    against batch ``analyze``); window lines, the metrics URL
     and all other narration go to stderr.
     """
     from repro.live.analyzer import LiveAnalyzer
@@ -976,7 +976,12 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
         )
         if trace is not None:
             _stderr(f"live trace written to {args.trace_out}")
-        out(summary.format(limit=args.summary_limit))
+        _print_summary(
+            summary,
+            _count_desyncs(analyzer.accumulator.anomalies),
+            args.summary_limit,
+            out,
+        )
         out("")
         return 0
     finally:
@@ -1078,17 +1083,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress", nargs="?", const="auto", default="off",
         choices=("auto", "force", "off"), metavar="MODE",
-        help="records/sec + ETA heartbeat on stderr for long "
-        "--stream runs; bare --progress is active only when "
+        help="records/sec + ETA heartbeat on stderr while a summary "
+        "folds; bare --progress is active only when "
         "stderr is a TTY, --progress=force always emits",
-    )
-
-
-def _add_stream_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="summarise via the streaming accumulator (O(chunk) memory; "
-        "summary report only)",
     )
 
 
@@ -1116,7 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capture.add_argument("--save", default=None, help="write raw records here")
     capture.add_argument("--names", default=None, help="write the name/tag file here")
-    _add_stream_flag(capture)
     _add_telemetry_flags(capture)
     capture.set_defaults(func=cmd_capture)
 
@@ -1158,7 +1154,11 @@ def build_parser() -> argparse.ArgumentParser:
         "damaged file and list the tolerated defects in a report footer "
         "instead of refusing",
     )
-    _add_stream_flag(analyze)
+    analyze.add_argument(
+        "--stream", action="store_true",
+        help="compatibility alias: every summary already folds in O(chunk) "
+        "memory; only the first line says 'streamed' instead of 'loaded'",
+    )
     _add_telemetry_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 

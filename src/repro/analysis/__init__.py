@@ -38,6 +38,7 @@ from repro.analysis.summary import (
     ProfileSummary,
     SummaryAccumulator,
     fold_capture,
+    fold_records,
     summarize,
     summarize_capture,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "FoldResult",
     "SummaryAccumulator",
     "fold_capture",
+    "fold_records",
     "iter_decoded_events",
     "summarize_capture",
     "FunctionHistogram",

@@ -102,7 +102,6 @@ def unwrap_times(
     *,
     previous: Optional[int] = None,
     base: int = 0,
-    check: bool = True,
 ) -> list[int]:
     """Vectorized counter unwrap: wrapped snapshots -> absolute timeline.
 
@@ -117,14 +116,13 @@ def unwrap_times(
     unwrap keeps between records.  When ``previous`` is ``None`` the
     first snapshot defines ``base`` (t=0 by default).
 
-    ``check`` validates every snapshot against the counter width and
-    raises :class:`ValueError` at the first offending record;
-    ``check=False`` masks over-width snapshots silently instead.
+    Every snapshot is validated against the counter width: the first
+    offending record raises :class:`ValueError`.
     """
     _check_width(width_bits)
     mask = (1 << width_bits) - 1
     n = len(raw_times)
-    if check and n and max(raw_times) > mask:
+    if n and max(raw_times) > mask:
         for t in raw_times:
             if t > mask:
                 raise ValueError(

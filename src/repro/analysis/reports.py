@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.summary import ProfileSummary, summarize
+from repro.analysis.callstack import analyze_capture
+from repro.analysis.summary import fold_records
 from repro.analysis.trace import format_trace
 from repro.profiler.capture import Capture
 
@@ -28,10 +28,9 @@ def full_report(
     show only the head); set it to ``None`` for every function.  The trace
     window defaults to the entire capture — for long captures pass a
     window, code-path traces are meant to be read around points of
-    interest.
+    interest.  The call tree is built only for the trace.
     """
-    analysis = analyze_capture(capture)
-    summary = summarize(analysis)
+    accumulator = fold_records(capture)
     parts = []
     if capture.label:
         parts.append(f"=== Profile: {capture.label} ===")
@@ -47,22 +46,18 @@ def full_report(
         )
         for defect in capture.defects:
             parts.append(f"  [{defect.kind}] {defect.message}")
-    parts.append(summary.format(limit=summary_limit))
+    parts.append(accumulator.summary().format(limit=summary_limit))
     if include_trace:
         parts.append("")
         parts.append("Code path trace:")
         parts.append(
-            format_trace(analysis, start_us=trace_start_us, end_us=trace_end_us)
+            format_trace(
+                analyze_capture(capture),
+                start_us=trace_start_us,
+                end_us=trace_end_us,
+            )
         )
-    if analysis.anomalies:
+    if accumulator.anomalies:
         parts.append("")
-        parts.append(f"({len(analysis.anomalies)} reconstruction anomalies)")
+        parts.append(f"({len(accumulator.anomalies)} reconstruction anomalies)")
     return "\n".join(parts)
-
-
-def analyze_and_summarize(
-    capture: Capture,
-) -> tuple[CallTreeAnalysis, ProfileSummary]:
-    """Convenience: the two analysis products most callers want."""
-    analysis = analyze_capture(capture)
-    return analysis, summarize(analysis)

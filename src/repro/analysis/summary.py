@@ -25,7 +25,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
-from repro.analysis.callstack import Anomaly, CallTreeAnalysis, analyze_capture
+from repro.analysis.callstack import Anomaly, CallTreeAnalysis
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
     CODE_EXIT as _EXIT,
@@ -246,6 +246,9 @@ def summarize(
 ) -> ProfileSummary:
     """Aggregate a call-tree analysis into the function summary.
 
+    The tree-walk twin of :class:`SummaryAccumulator`, for a caller that
+    already holds the tree; the shipped reports fold instead
+    (:func:`summarize_capture`, :func:`fold_capture`).
     ``swtch`` (and any other ``!`` function) is excluded by default: its
     self time is the idle loop, already reported in the header.
     """
@@ -264,11 +267,6 @@ def summarize(
         event_count=analysis.event_count,
         functions=_materialize(functions),
     )
-
-
-def summarize_capture(capture: Capture) -> ProfileSummary:
-    """Decode, reconstruct and summarise *capture* in one call."""
-    return summarize(analyze_capture(capture))
 
 
 # -- streaming summary -------------------------------------------------------
@@ -742,7 +740,26 @@ class SummaryAccumulator:
         return self._unattributed_us
 
 
-# -- folding a capture file ---------------------------------------------------
+# -- folding a capture ---------------------------------------------------------
+
+
+def fold_records(capture: Capture) -> SummaryAccumulator:
+    """Fold an in-memory capture into a sealed :class:`SummaryAccumulator`.
+
+    The in-memory twin of :func:`fold_capture`: the capture's records fold
+    at its own counter width, and no call tree is built.
+    """
+    accumulator = SummaryAccumulator(
+        capture.names, width_bits=capture.counter_width_bits
+    )
+    return accumulator.feed_records(capture.records).close()
+
+
+def summarize_capture(capture: Capture) -> ProfileSummary:
+    """The function summary of an in-memory *capture*."""
+    return fold_records(capture).summary()
+
+
 
 #: What :func:`fold_capture` reads: a path, or the capture's bytes.
 CaptureSource = Union[str, Path, bytes]

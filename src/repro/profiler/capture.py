@@ -95,14 +95,7 @@ class Capture:
         else:
             records, meta = read_capture(path)
         if meta.version == 1:
-            warnings.warn(
-                f"{path}: MPF1 carries no capture metadata; counter "
-                "width/rate and the overflow flag defaulted to stock values "
-                "— resave as MPF2 (Capture.save) to make the file "
-                "self-describing",
-                CaptureMetadataWarning,
-                stacklevel=2,
-            )
+            warn_mpf1_defaults(path)
         return cls(
             records=tuple(records),
             names=names,
@@ -112,6 +105,18 @@ class Capture:
             counter_rate_hz=meta.counter_rate_hz,
             defects=defects,
         )
+
+
+def warn_mpf1_defaults(path: Union[str, Path]) -> None:
+    """Warn that the MPF1 file at *path* left its metadata at stock values."""
+    warnings.warn(
+        f"{path}: MPF1 carries no capture metadata; counter "
+        "width/rate and the overflow flag defaulted to stock values "
+        "— resave as MPF2 (Capture.save) to make the file "
+        "self-describing",
+        CaptureMetadataWarning,
+        stacklevel=3,
+    )
 
 
 class CaptureSession:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
 from repro.analysis.reports import full_report
-from repro.analysis.summary import ProfileSummary, SummaryAccumulator, summarize
+from repro.analysis.summary import ProfileSummary, summarize_capture
 from repro.instrument.compiler import InstrumentedImage, InstrumentingCompiler
 from repro.instrument.namefile import NameTable
 from repro.kernel import import_all as _import_all_kernel_modules
@@ -79,15 +79,8 @@ class CaseStudySystem:
         return analyze_capture(capture)
 
     def summarize(self, capture: Capture) -> ProfileSummary:
-        """The Figure 3 function summary."""
-        return summarize(analyze_capture(capture))
-
-    def summarize_streaming(self, capture: Capture) -> ProfileSummary:
-        """The same summary via the single-pass bounded-memory fold."""
-        accumulator = SummaryAccumulator(
-            capture.names, width_bits=capture.counter_width_bits
-        )
-        return accumulator.feed_records(capture.records).summary()
+        """The Figure 3 function summary, folded without a call tree."""
+        return summarize_capture(capture)
 
     def report(self, capture: Capture, **kwargs: object) -> str:
         """The full two-part report."""
@@ -103,7 +96,6 @@ def build_case_study(
     with_console: bool = True,
     instrument: bool = True,
     names: Optional[NameTable] = None,
-    engine: str = "optimized",
 ) -> CaseStudySystem:
     """Build the full rig.
 
@@ -111,27 +103,14 @@ def build_case_study(
     whole kernel with profiling, the macro-profile).  ``cost`` swaps in a
     counterfactual :class:`CostModel` (e.g. ``asm_cksum=True``).
     ``instrument=False`` builds the non-profiled kernel of the overhead
-    experiment — triggers absent entirely.  ``engine="reference"`` wires
-    the pre-optimization capture path (single-heap interrupt queue,
-    linear bus decode, step-by-step cost charging) — the baseline the
-    parity tests and capture benchmarks compare against; captures must
-    be byte-identical between the two engines.
+    experiment — triggers absent entirely.
     """
-    if engine not in ("optimized", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
     _import_all_kernel_modules()
     cpu = Cpu.i386_40mhz()
     if cost is not None:
         cpu = Cpu(model=cost, name=cpu.name, mhz=cpu.mhz)
     machine = Machine(cpu=cpu)
-    if engine == "reference":
-        from repro.sim.engine import ReferenceInterruptQueue
-
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
     kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
 
     board = ProfilerBoard(depth=board_depth)
     adapter = PiggyBackAdapter(board)

@@ -147,11 +147,6 @@ class TestCounterWidthEdges:
         with pytest.raises(ValueError, match="exceeds the 16-bit counter"):
             unwrap_times([0, 1 << 16], 16)
 
-    def test_unwrap_check_false_masks_silently(self):
-        """Unchecked mode: over-width snapshots are masked, not rejected."""
-        assert unwrap_times([0, 1 << 16], 16, check=False) == [0, 0]
-        assert unwrap_times([0, (1 << 16) + 5], 16, check=False) == [0, 5]
-
     def test_unwrap_carries_previous_and_base(self):
         first = unwrap_times([10, 20], 24)
         carried = unwrap_times([30], 24, previous=20, base=first[-1])

@@ -32,11 +32,17 @@ from repro.kernel.kfunc import KFuncMeta
 from repro.profiler.eprom import PiggyBackAdapter
 from repro.profiler.hardware import ProfilerBoard
 from repro.sim.bus import BusError
-from repro.sim.engine import InterruptLine, ReferenceInterruptQueue
+from repro.sim.engine import InterruptLine
 from repro.sim.machine import Machine
 from repro.system import build_case_study
 from repro.workloads.forkexec import fork_exec_storm
 from repro.workloads.network_recv import network_receive
+
+from reference_capture import (
+    ReferenceKernel,
+    ReferenceMachine,
+    build_reference_case_study,
+)
 
 # Manual profile-map metas: deliberately NOT @kfunc-registered, so these
 # tests cannot perturb the global registry's import-order tag assignment.
@@ -51,13 +57,10 @@ def capture_bytes(capture) -> bytes:
 
 def make_kernel(engine: str, depth: int = 4096) -> tuple[Kernel, ProfilerBoard]:
     """A bare profiling kernel on the requested engine (no boot)."""
-    machine = Machine()
     if engine == "reference":
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
-    kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
+        kernel = ReferenceKernel(ReferenceMachine())
+    else:
+        kernel = Kernel(Machine())
     board = ProfilerBoard(depth=depth)
     kernel.attach_profiler(PiggyBackAdapter(board))
     kernel.set_profile_map(dict(PARITY_TAGS), {})
@@ -79,8 +82,11 @@ def make_kernel(engine: str, depth: int = 4096) -> tuple[Kernel, ProfilerBoard]:
 )
 def test_golden_workload_capture_byte_identical(label, workload):
     streams = {}
-    for engine in ("optimized", "reference"):
-        system = build_case_study(engine=engine)
+    for engine, build in (
+        ("optimized", build_case_study),
+        ("reference", build_reference_case_study),
+    ):
+        system = build()
         capture = system.profile(lambda: workload(system.kernel), label=label)
         streams[engine] = (
             capture_bytes(capture),

@@ -102,12 +102,6 @@ class TestDesyncFooter:
         lines = run_cli("capture", "--workload", "network", "--packets", "4")
         assert "kstack desyncs = 0" in lines
 
-    def test_streaming_capture_also_reports_desyncs(self):
-        lines = run_cli(
-            "capture", "--workload", "network", "--packets", "4", "--stream"
-        )
-        assert "kstack desyncs = 0" in lines
-
     def test_analyze_summary_reports_desyncs(self, tmp_path):
         capture_file = tmp_path / "run.mpf"
         names_file = tmp_path / "run.tags"
@@ -117,6 +111,121 @@ class TestDesyncFooter:
         )
         lines = run_cli("analyze", str(capture_file), "--names", str(names_file))
         assert "kstack desyncs = 0" in lines
+
+
+GOLDEN_TAGS = str(GOLDEN_DIR / "case_study.tags")
+
+
+def _hostile_inputs(tmp_path) -> dict[str, tuple[str, str]]:
+    """name -> (capture, names) pairs ``analyze`` cannot read."""
+    empty = tmp_path / "empty.mpf"
+    empty.write_bytes(b"")
+    truncated = tmp_path / "truncated.mpf"
+    truncated.write_bytes((GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()[:3000])
+    good = str(GOLDEN_DIR / "figure3_network_v2.mpf")
+    cases = {
+        "missing": (str(tmp_path / "missing.mpf"), GOLDEN_TAGS),
+        "empty": (str(empty), GOLDEN_TAGS),
+        "truncated": (str(truncated), GOLDEN_TAGS),
+        "missing-names": (good, str(tmp_path / "missing.tags")),
+    }
+    for mutant in ("bitflip", "countlie", "truncate"):
+        path = GOLDEN_DIR / f"salvage_fuzz_{mutant}.mpf.corrupt"
+        cases[f"mutant-{mutant}"] = (str(path), GOLDEN_TAGS)
+    return cases
+
+
+class TestAnalyzeBadInput:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "missing", "empty", "truncated", "missing-names",
+            "mutant-bitflip", "mutant-countlie", "mutant-truncate",
+        ],
+    )
+    def test_one_line_diagnostic_and_exit_2(self, case, tmp_path, capsys):
+        capture, names = _hostile_inputs(tmp_path)[case]
+        culprit = names if case == "missing-names" else capture
+        messages = []
+        for extra in ([], ["--stream"]):
+            code, lines = run_cli_code("analyze", capture, "--names", names, *extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert lines == []
+            assert err.startswith(f"analyze: {culprit}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            messages.append(err)
+        assert messages[0] == messages[1]
+
+
+class TestMpf1Warning:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--stream"],
+            ["--report", "trace"],
+            ["--report", "summary", "--report", "gprof"],
+        ],
+        ids=["summary", "stream", "tree", "summary+tree"],
+    )
+    def test_warned_exactly_once(self, extra):
+        from repro.profiler.upload import CaptureMetadataWarning
+
+        mpf1 = str(GOLDEN_DIR / "figure5_forkexec.mpf")
+        with pytest.warns(CaptureMetadataWarning) as record:
+            lines = run_cli("analyze", mpf1, "--names", GOLDEN_TAGS, *extra)
+        assert [str(w.message).count("MPF1") for w in record] == [1]
+        v2 = run_cli(
+            "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+            "--names", GOLDEN_TAGS, *extra,
+        )
+        assert lines[1:] == v2[1:]  # stdout as for the MPF2 sibling
+
+
+class TestOneSummaryEngine:
+    """Every summary folds; only tree reports build the call tree."""
+
+    @pytest.fixture
+    def no_call_tree(self, monkeypatch):
+        from repro.analysis import callstack
+
+        def refuse(events):
+            raise AssertionError("call tree built")
+
+        monkeypatch.setattr(callstack, "build_call_tree", refuse)
+
+    def test_summaries_never_build_the_tree(self, no_call_tree, tmp_path):
+        from repro.analysis.reports import full_report
+        from repro.analysis.summary import summarize_capture
+        from repro.system import build_case_study
+
+        capture_file, names_file = tmp_path / "run.mpf", tmp_path / "run.tags"
+        run_cli(
+            "capture", "--workload", "network", "--packets", "4",
+            "--save", str(capture_file), "--names", str(names_file),
+        )
+        for extra in ([], ["--salvage"], ["--stream"]):
+            run_cli("analyze", str(capture_file), "--names", str(names_file), *extra)
+        from repro.workloads.network_recv import network_receive
+
+        system = build_case_study()
+        capture = system.profile(
+            lambda: network_receive(system.kernel, total_packets=2)
+        )
+        assert system.summarize(capture).get("tcp_input") is not None
+        assert summarize_capture(capture) == system.summarize(capture)
+        assert "Code path trace" not in full_report(capture, include_trace=False)
+
+    def test_tree_reports_still_build_it(self, no_call_tree):
+        with pytest.raises(AssertionError, match="call tree built"):
+            main(
+                [
+                    "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+                    "--names", GOLDEN_TAGS, "--report", "trace",
+                ],
+                out=lambda _: None,
+            )
 
 
 class TestLintCommand:

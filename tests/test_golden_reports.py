@@ -87,10 +87,11 @@ def test_figure5_summary_golden(forkexec_capture):
 
 
 def test_streaming_matches_figure3_golden(network_capture):
-    """The streaming path must reproduce the golden text, not just agree
-    with whatever batch currently produces."""
+    """The fold behind every shipped summary must reproduce the golden
+    text, not just agree with whatever the call-tree walk produces."""
     system, capture = network_capture
-    text = system.summarize_streaming(capture).format(limit=20) + "\n"
+    text = system.summarize(capture).format(limit=20) + "\n"
+    assert text == summarize(system.analyze(capture)).format(limit=20) + "\n"
     if not os.environ.get("REGEN_GOLDEN"):
         assert text == (GOLDEN_DIR / "figure3_network_summary.txt").read_text()
 
@@ -191,6 +192,34 @@ def test_golden_capture_decodes_to_golden_summary():
 
     text = summarize(analyze_capture(capture)).format(limit=20) + "\n"
     assert text == (GOLDEN_DIR / "figure3_network_summary.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "capture_name,summary_name",
+    [
+        ("figure3_network_v2.mpf", "figure3_network_summary.txt"),
+        ("figure5_forkexec_v2.mpf", "figure5_forkexec_summary.txt"),
+    ],
+)
+def test_cli_analyze_prints_golden_summary(capture_name, summary_name):
+    """Plain ``analyze`` prints the golden summary right after its
+    one-line preamble."""
+    if os.environ.get("REGEN_GOLDEN"):
+        pytest.skip("regenerating")
+    from repro.__main__ import main
+
+    lines: list[str] = []
+    code = main(
+        [
+            "analyze", str(GOLDEN_DIR / capture_name),
+            "--names", str(GOLDEN_DIR / "case_study.tags"),
+            "--summary-limit", "20",
+        ],
+        out=lines.append,
+    )
+    assert code == 0
+    assert lines[0].startswith("loaded ")
+    assert lines[1] + "\n" == (GOLDEN_DIR / summary_name).read_text()
 
 
 # -- MPF1 backward compatibility over the frozen legacy goldens --------------

@@ -609,12 +609,13 @@ class TestCliTelemetry:
         span_names = {d["name"] for d in docs if d["type"] == "span"}
         assert "capture.run" in span_names
 
-    def test_analyze_stream_telemetry_has_fold_span(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["plain", "stream"])
+    def test_analyze_stream_telemetry_has_fold_span(self, extra, tmp_path):
         path = tmp_path / "fold.jsonl"
         run_cli(
             "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--stream", "--telemetry", str(path),
+            *extra, "--telemetry", str(path),
         )
         docs = [json.loads(line) for line in path.read_text().splitlines()]
         span_names = [d["name"] for d in docs if d["type"] == "span"]

@@ -20,6 +20,8 @@ from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 from repro.kernel.syscalls import syscall
 
+from reference_capture import build_reference_case_study
+
 
 def make_user_proc(system, functions=("u_main", "u_parse", "u_reply")):
     """Spawn a process with an address space and the window mapped."""
@@ -166,8 +168,11 @@ class TestEngineParity:
         byte — including the `_user_trigger` slow path the reference
         engine (fastpath_enabled=False) exercises."""
         results = {}
-        for engine in ("optimized", "reference"):
-            system = build_case_study(engine=engine)
+        for engine, build in (
+            ("optimized", build_case_study),
+            ("reference", build_reference_case_study),
+        ):
+            system = build()
             capture = system.profile(lambda: run_user_workload(system))
             results[engine] = (
                 b"".join(record.pack() for record in capture.records),
