@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import select
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -279,11 +281,11 @@ def _defect_footer(
         out(f"salvage: no defects found in {source}")
 
 
-def _bad_input(source: str, problem: Union[str, Exception]) -> int:
-    """Report an input ``analyze`` cannot read on one stderr line; exit 2."""
+def _bad_input(command: str, source: str, problem: Union[str, Exception]) -> int:
+    """Report an input *command* cannot read on one stderr line; exit 2."""
     if isinstance(problem, OSError) and problem.strerror:
         problem = problem.strerror
-    print(f"analyze: {source}: {problem}", file=sys.stderr)
+    print(f"{command}: {source}: {problem}", file=sys.stderr)
     return 2
 
 
@@ -301,7 +303,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     try:
         names = NameTable.read(*args.names)
     except OSError as exc:
-        return _bad_input(exc.filename or args.names[0], exc)
+        return _bad_input("analyze", exc.filename or args.names[0], exc)
     if args.strict:
         lint_report = lint_capture_file(args.capture, names)
         out(render_text(lint_report))
@@ -326,7 +328,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         if result.accumulator is None:
             fault = result.fault
             problem = fault if isinstance(fault, OSError) else result.error
-            return _bad_input(args.capture, problem)
+            return _bad_input("analyze", args.capture, problem)
         summary = result.accumulator.summary()
         desyncs = _count_desyncs(result.accumulator.anomalies)
         count, defects = result.records, result.defects
@@ -337,7 +339,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
                 args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
             )
         except (OSError, CaptureFormatError) as exc:
-            return _bad_input(args.capture, exc)
+            return _bad_input("analyze", args.capture, exc)
         analysis = analyze_capture(capture)
         if summary is None:
             count, defects = len(capture), capture.defects
@@ -417,7 +419,12 @@ def cmd_lint(args: argparse.Namespace, out: Callable) -> int:
         coverage_corpus=args.coverage_corpus,
         db=args.db,
     )
-    report = lint_paths(options)
+    try:
+        report = lint_paths(options)
+    except OSError as exc:
+        if str(exc.filename) not in (args.names or ()):
+            raise
+        return _bad_input("lint", exc.filename, exc)
     out(render_json(report) if args.json else render_text(report))
     return report.exit_code
 
@@ -432,10 +439,14 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
     """
     from repro.telemetry.export import capture_to_chrome_trace
 
-    names = NameTable.read(*args.names)
-    capture = Capture.load(
-        args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
-    )
+    try:
+        names = NameTable.read(*args.names)
+        capture = Capture.load(
+            args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
+        )
+    except (OSError, CaptureFormatError) as exc:
+        culprit = getattr(exc, "filename", None) or args.capture
+        return _bad_input("trace export", culprit, exc)
     analysis = analyze_capture(capture)
     interrupt_names = (
         frozenset(
@@ -1702,12 +1713,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe its reader closed: bytes still buffered
+    fail a second flush, and a write end with no reader polls ``POLLERR``
+    (a write too large to buffer leaves nothing behind to flush)."""
+    try:
+        sys.stdout.flush()
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & select.POLLERR for _, events in poller.poll(0))
+    except BrokenPipeError:
+        return True
+    except (AttributeError, OSError, ValueError):  # no poll(), no descriptor
+        return False
+
+
 def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "report", None) is None and args.command in ("capture", "analyze"):
         args.report = ["summary"]
-    return args.func(args, out)
+    try:
+        code = args.func(args, out)
+        # Flush here so a closed pipe surfaces inside this try block.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Only stdout's reader going away (``| head``) ends quietly.
+        if not _stdout_reader_gone():
+            raise
+        # Point stdout at devnull so the exit-time flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 The Profiler's raw data is "a list of event tags and times".  This package
 turns that list into the paper's two reports and the future-work extras:
 
-* :mod:`repro.analysis.events` — tag decode and reconstruction of absolute
-  time from the wrapping 24-bit counter;
-* :mod:`repro.analysis.callstack` — entry/exit matching, call-tree
-  construction, context-switch splitting at ``!``-tagged functions, and
-  idle/active CPU separation;
-* :mod:`repro.analysis.summary` — the per-function statistics report
-  (Figure 3 / Figure 5 layout);
+* :mod:`repro.analysis.columnar` — tag decode and reconstruction of
+  absolute time from the wrapping 24-bit counter, over record columns;
+* :mod:`repro.analysis.summary` — the fold: one state machine for
+  entry/exit matching, context-switch splitting at ``!``-tagged
+  functions and idle/active CPU separation, folding every call into the
+  per-function statistics report (Figure 3 / Figure 5 layout) as it
+  closes;
+* :mod:`repro.analysis.callstack` — the call tree, recorded by that same
+  state machine for the reports that need one;
 * :mod:`repro.analysis.trace` — the timestamped nested code-path trace
   (Figure 4 layout);
 * :mod:`repro.analysis.histogram`, :mod:`repro.analysis.graph` — the
@@ -19,20 +21,14 @@ turns that list into the paper's two reports and the future-work extras:
 * :mod:`repro.analysis.reports` — one-call assembly of the full report.
 """
 
-from repro.analysis.events import (
-    DecodedEvent,
-    EventKind,
-    decode_capture,
-    iter_decoded_events,
-)
 from repro.analysis.callstack import (
-    Anomaly,
     CallNode,
     CallTreeAnalysis,
+    CallTreeRecorder,
     analyze_capture,
-    build_call_tree,
 )
 from repro.analysis.summary import (
+    Anomaly,
     FoldResult,
     FunctionStats,
     ProfileSummary,
@@ -60,21 +56,17 @@ __all__ = [
     "Anomaly",
     "CallNode",
     "CallTreeAnalysis",
-    "DecodedEvent",
-    "EventKind",
+    "CallTreeRecorder",
     "FoldResult",
     "SummaryAccumulator",
     "fold_capture",
     "fold_records",
-    "iter_decoded_events",
     "summarize_capture",
     "FunctionHistogram",
     "FunctionStats",
     "ProfileSummary",
     "analyze_capture",
-    "build_call_tree",
     "call_graph",
-    "decode_capture",
     "format_trace",
     "FunctionDelta",
     "GprofReport",

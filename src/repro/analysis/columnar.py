@@ -4,22 +4,24 @@ Walking one :class:`~repro.profiler.ram.RawRecord` at a time costs a
 Python object, a name-table lookup and a wrap subtraction per record.
 This module states the three decode jobs over *columns* instead:
 
-1. **Timer unwrap** (:func:`unwrap_times`) — the modular
-   difference-and-accumulate of ``reconstruct_times`` as two C-level
-   passes (:func:`zip` + :func:`itertools.accumulate`) over a whole batch;
-2. **Tag decode** (:func:`build_decode_map` + :func:`decode_columns`) —
-   one memoizing dict lookup per record, batched into parallel code /
-   name / entry columns;
+1. **Timer unwrap** (:func:`unwrap_times`) — "the analysis software
+   only uses the timer value as an interval time": successive 24-bit
+   snapshots are differenced modulo the counter range and accumulated
+   into an absolute microsecond timeline starting at zero, as two C-level
+   passes (:func:`zip` + :func:`itertools.accumulate`) over a whole
+   batch.  A real gap of one wrap period (16 s) or more aliases
+   irrecoverably, the paper's stated limit;
+2. **Tag decode** (:func:`build_tag_map` + :func:`decode_columns`) —
+   one memoizing dict lookup per record, batched into parallel code and
+   name columns;
 3. **Entry/exit pairing** (:func:`pair_entry_exits`) — one stack pass
    over the code column yielding matched call spans.
 
-The product, :class:`ColumnarEvents`, holds exactly the fields a list of
-:class:`~repro.analysis.events.DecodedEvent` would, column by column, and
-can materialise them (:meth:`ColumnarEvents.to_events`) at API boundaries
-that still want objects.  Correctness is not assumed:
-``tests/test_decode_differential.py`` holds it field-identical to the
-per-record oracle in ``tests/reference_decode.py`` over generated
-streams.
+The product, :class:`ColumnarEvents`, holds one decoded event per
+record, column by column; no per-event object is ever built.
+Correctness is not assumed: ``tests/test_decode_differential.py`` holds
+it field-identical to the per-record oracle in
+``tests/reference_decode.py`` over generated streams.
 """
 
 from __future__ import annotations
@@ -28,32 +30,46 @@ import dataclasses
 from itertools import accumulate, chain, islice
 from typing import Optional, Sequence
 
-from repro.analysis.events import DecodedEvent, EventKind, _check_width
 from repro.instrument.namefile import NameTable
-from repro.instrument.tags import TagEntry
-from repro.profiler.ram import RawRecord
+from repro.profiler.ram import TIME_BITS, RawRecord
 from repro.profiler.upload import RecordColumns
 
-#: Integer event codes — cheaper than :class:`EventKind` members in every
-#: columnar and streaming hot loop.  Shared with the streaming summary
-#: (:mod:`repro.analysis.summary` re-exports them as ``_ENTRY`` etc.).
+#: Integer event codes, shared by every columnar and fold hot loop
+#: (:mod:`repro.analysis.summary` imports them as ``_ENTRY`` etc.).
 CODE_ENTRY, CODE_EXIT, CODE_INLINE, CODE_UNKNOWN = 0, 1, 2, 3
 
-KIND_FROM_CODE = {
-    CODE_ENTRY: EventKind.ENTRY,
-    CODE_EXIT: EventKind.EXIT,
-    CODE_INLINE: EventKind.INLINE,
-    CODE_UNKNOWN: EventKind.UNKNOWN,
-}
+
+def _check_width(width_bits: int) -> None:
+    """A wrong wrap mask corrupts every reconstructed interval, so the
+    counter width is validated wherever one enters the decode path."""
+    if not (1 <= width_bits <= TIME_BITS):
+        raise ValueError(
+            f"counter width {width_bits} outside 1..{TIME_BITS} bits"
+        )
+
+
+class _TagMap(dict):
+    """Raw tag value -> (name, event code, is context switch).
+
+    ``[]`` on a tag absent from the name file synthesises the ``tag#N``
+    identity the per-record decoder invents for it, and caches it so a
+    burst of the same unknown tag costs one format call, not one per
+    record; ``.get`` answers ``None`` for a tag not yet seen that way.
+    """
+
+    def __missing__(self, tag: int) -> tuple[str, int, bool]:
+        info = (f"tag#{tag}", CODE_UNKNOWN, False)
+        self[tag] = info
+        return info
 
 
 def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
     """Precompute raw tag value -> (name, event code, is context switch).
 
     One dict lookup replaces ``NameTable.decode`` plus kind mapping in the
-    summary accumulator's hot loop.
+    fold's and :func:`decode_columns`' hot loops.
     """
-    tag_map: dict[int, tuple[str, int, bool]] = {}
+    tag_map = _TagMap()
     for entry in names:
         if entry.inline:
             tag_map[entry.entry_value] = (entry.name, CODE_INLINE, False)
@@ -61,39 +77,6 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
             tag_map[entry.entry_value] = (entry.name, CODE_ENTRY, entry.context_switch)
             tag_map[entry.exit_value] = (entry.name, CODE_EXIT, entry.context_switch)
     return tag_map
-
-
-class _DecodeMap(dict):
-    """Tag -> (code, name, entry) with memoized unknown-tag entries.
-
-    ``__missing__`` synthesises the ``tag#N`` identity the per-record
-    decoder invents for a tag absent from the name file, and caches it so
-    a burst of the same unknown tag costs one format call, not one per
-    record.
-    """
-
-    def __missing__(self, tag: int) -> tuple[int, str, None]:
-        info = (CODE_UNKNOWN, f"tag#{tag}", None)
-        self[tag] = info
-        return info
-
-
-def build_decode_map(names: NameTable) -> dict[int, tuple[int, str, Optional[TagEntry]]]:
-    """Precompute raw tag value -> (event code, name, owning TagEntry).
-
-    The event-decode twin of :func:`build_tag_map`: carries the
-    :class:`TagEntry` itself so :class:`DecodedEvent` columns can be built
-    without touching ``NameTable.decode``.  Unknown tags resolve (and
-    memoize) on first sight.
-    """
-    decode_map = _DecodeMap()
-    for entry in names:
-        if entry.inline:
-            decode_map[entry.entry_value] = (CODE_INLINE, entry.name, entry)
-        else:
-            decode_map[entry.entry_value] = (CODE_ENTRY, entry.name, entry)
-            decode_map[entry.exit_value] = (CODE_EXIT, entry.name, entry)
-    return decode_map
 
 
 def unwrap_times(
@@ -105,8 +88,7 @@ def unwrap_times(
 ) -> list[int]:
     """Vectorized counter unwrap: wrapped snapshots -> absolute timeline.
 
-    The columnar twin of :func:`repro.analysis.events.reconstruct_times`:
-    the per-record ``(t - prev) & mask`` difference runs in one
+    The per-record ``(t - prev) & mask`` difference runs in one
     :func:`zip` comprehension and the running sum in one
     :func:`itertools.accumulate` — no Python-level loop state per record.
 
@@ -158,63 +140,18 @@ def columns_from_records(records: Sequence[RawRecord]) -> RecordColumns:
 class ColumnarEvents:
     """A batch of decoded events as parallel columns.
 
-    Field-for-field the same information as a list of
-    :class:`DecodedEvent` — index ``start_index + i``, absolute time,
-    event code, name, owning :class:`TagEntry` (``None`` for unknown
-    tags) and the raw tag/time pair — held as columns so analysis passes
-    iterate machine values, not objects.
+    Event ``i`` is record ``start_index + i``: its absolute time, event
+    code and name — held as columns so analysis passes iterate machine
+    values, not objects.
     """
 
     start_index: int
     times: Sequence[int]
     codes: Sequence[int]
     names: Sequence[str]
-    entries: Sequence[Optional[TagEntry]]
-    tags: Sequence[int]
-    raw_times: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def event(self, offset: int) -> DecodedEvent:
-        """Materialise the single event at *offset* within the batch."""
-        return DecodedEvent(
-            index=self.start_index + offset,
-            time_us=self.times[offset],
-            kind=KIND_FROM_CODE[self.codes[offset]],
-            name=self.names[offset],
-            entry=self.entries[offset],
-            raw=RawRecord(tag=self.tags[offset], time=self.raw_times[offset]),
-        )
-
-    def to_events(self) -> list[DecodedEvent]:
-        """Materialise the whole batch as :class:`DecodedEvent` objects.
-
-        Field-identical to the per-record oracle's output over the same
-        records (the differential suite holds it to that).
-        """
-        kinds = KIND_FROM_CODE
-        return [
-            DecodedEvent(
-                index=index,
-                time_us=time_us,
-                kind=kinds[code],
-                name=name,
-                entry=entry,
-                raw=RawRecord(tag=tag, time=raw_time),
-            )
-            for index, (time_us, code, name, entry, tag, raw_time) in enumerate(
-                zip(
-                    self.times,
-                    self.codes,
-                    self.names,
-                    self.entries,
-                    self.tags,
-                    self.raw_times,
-                ),
-                start=self.start_index,
-            )
-        ]
 
 
 def decode_columns(
@@ -225,40 +162,27 @@ def decode_columns(
     start_index: int = 0,
     time_base_us: int = 0,
     previous: Optional[int] = None,
-    decode_map: Optional[dict] = None,
+    tag_map: Optional[dict] = None,
 ) -> ColumnarEvents:
     """Decode one columnar record batch against *names*.
 
-    The batch twin of :func:`repro.analysis.events.iter_decoded_events`:
-    the timer unwrap is vectorized (:func:`unwrap_times`, carrying
+    The timer unwrap is vectorized (:func:`unwrap_times`, carrying
     ``previous``/``time_base_us`` across batches) and the tag decode is
-    one memoized dict hit per record.  Passing a prebuilt ``decode_map``
-    (:func:`build_decode_map`) amortises the table build across batches.
+    one memoized dict hit per record.  Passing a prebuilt ``tag_map``
+    (:func:`build_tag_map`) amortises the table build across batches.
 
     The whole batch is validated before anything is returned, so an
     over-width snapshot raises *before* the batch's earlier events are
     observable.
     """
-    if decode_map is None:
-        decode_map = build_decode_map(names)
+    if tag_map is None:
+        tag_map = build_tag_map(names)
     times = unwrap_times(
         columns.times, width_bits, previous=previous, base=time_base_us
     )
-    tags = columns.tags
-    info = [decode_map[tag] for tag in tags]
-    if info:
-        codes, name_col, entry_col = zip(*info)
-    else:
-        codes = name_col = entry_col = ()
-    return ColumnarEvents(
-        start_index=start_index,
-        times=times,
-        codes=codes,
-        names=name_col,
-        entries=entry_col,
-        tags=tags,
-        raw_times=columns.times,
-    )
+    info = [tag_map[tag] for tag in columns.tags]
+    name_col, codes, _ = zip(*info) if info else ((), (), ())
+    return ColumnarEvents(start_index, times, codes, name_col)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,9 +23,8 @@ import io
 import time
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
-from repro.analysis.callstack import Anomaly, CallTreeAnalysis
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
     CODE_EXIT as _EXIT,
@@ -49,6 +48,19 @@ from repro.profiler.upload import (
     salvage_capture_bytes,
 )
 from repro.telemetry import TELEMETRY as _TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.analysis.callstack import CallTreeAnalysis
+
+
+@dataclasses.dataclass
+class Anomaly:
+    """One repair the reconstruction had to make."""
+
+    index: int
+    time_us: int
+    kind: str
+    detail: str
 
 
 @dataclasses.dataclass
@@ -273,31 +285,40 @@ def summarize(
 
 
 class _ProcStack:
-    """One process's open frames during streaming reconstruction.
+    """One process's open frames during reconstruction.
 
     Frames are plain lists ``[name, self_us, child_inclusive_us, is_swtch]``
     — the minimum needed to aggregate a call on close without retaining a
-    tree node per call.
+    tree node per call.  ``proc`` labels the process (``P0``, ``P1``, …
+    in order of first appearance), ``block_start_us`` is when it last
+    switched in and ``suspended_at_us`` when it last switched out: its
+    open frames' clocks stop there.
     """
 
-    __slots__ = ("frames", "suspend_seq")
+    __slots__ = ("proc", "frames", "suspend_seq", "suspended_at_us", "block_start_us")
 
-    def __init__(self) -> None:
+    def __init__(self, proc: str) -> None:
+        self.proc = proc
         self.frames: list[list] = []
         self.suspend_seq = -1
+        self.suspended_at_us = 0
+        self.block_start_us = 0
 
 
 class SummaryAccumulator:
     """Single-pass, bounded-memory construction of :class:`ProfileSummary`.
 
-    Semantically a re-implementation of
-    :func:`repro.analysis.callstack.build_call_tree` followed by
-    :func:`summarize`, but instead of materialising a :class:`CallNode`
-    per call it keeps only the *open* frames and folds every frame into
-    the per-function aggregates the moment it closes.  Peak memory is
-    O(open call depth + suspended processes + one scheduling block), not
-    O(events) — which is what lets a million-event stream be summarised
-    from a file iterator without ever holding the trace.
+    The one call-stack reconstruction: entries and exits are matched into
+    nested frames, the stream splits at ``!``-tagged functions, missed
+    exits are repaired and the capture window's truncation is tolerated
+    (the rules are laid out in :mod:`repro.analysis.callstack`).  It keeps
+    only the *open* frames and folds every frame into the per-function
+    aggregates the moment it closes, so peak memory is O(open call depth
+    + suspended processes + one scheduling block), not O(events) — which
+    is what lets a million-event stream be summarised from a file
+    iterator without ever holding the trace.  The subclass
+    :class:`repro.analysis.callstack.CallTreeRecorder` runs the same
+    state machine and also keeps a :class:`CallNode` per call.
 
     The one structural concession to streaming: switch-in resolution
     (which suspended process resumes after a ``swtch`` exit) needs to look
@@ -308,9 +329,9 @@ class SummaryAccumulator:
     between switches in practice), so the buffer does not grow with trace
     length.
 
-    Accumulators of independent captures combine with :meth:`merge`; the
-    accumulator and the batch call-tree analyser produce byte-identical
-    reports (property-tested in ``tests/test_streaming_pipeline.py``).
+    Accumulators of independent captures combine with :meth:`merge`.  The
+    look-ahead tree builder in ``tests/reference_decode.py`` is the
+    independent oracle the differential suites hold this to.
     """
 
     def __init__(
@@ -332,7 +353,8 @@ class SummaryAccumulator:
         self._event_count = 0
         self._context_switches = 0
 
-        self._current = _ProcStack()
+        self._current = _ProcStack("P0")
+        self._procs = 1
         self._suspended: list[_ProcStack] = []
         self._suspend_seq = 0
         #: High-water marks, read out into telemetry at close().
@@ -496,7 +518,9 @@ class SummaryAccumulator:
             return
         if code == _INLINE:
             return
-        # _UNKNOWN
+        self._unknown_tag(index, t, tag)
+
+    def _unknown_tag(self, index: int, t: int, tag: int) -> None:
         self.anomalies.append(
             Anomaly(
                 index=index,
@@ -512,8 +536,7 @@ class SummaryAccumulator:
             if any(frame[0] == name for frame in frames):
                 self._close_through(name, t, index)
             else:
-                if self._include_swtch:
-                    _agg_synthetic(self._functions, name)
+                self._synthetic_frame(name, True, t)
                 self.anomalies.append(
                     Anomaly(
                         index=index,
@@ -525,6 +548,7 @@ class SummaryAccumulator:
             self._context_switches += 1
             current = self._current
             current.suspend_seq = self._suspend_seq
+            current.suspended_at_us = t
             self._suspend_seq += 1
             self._suspended.append(current)
             if len(self._suspended) > self._peak_suspended:
@@ -536,7 +560,7 @@ class SummaryAccumulator:
         if any(frame[0] == name for frame in frames):
             self._close_through(name, t, index)
         else:
-            _agg_synthetic(self._functions, name)
+            self._synthetic_frame(name, False, t)
             self.anomalies.append(
                 Anomaly(
                     index=index,
@@ -549,7 +573,16 @@ class SummaryAccumulator:
                 )
             )
 
-    def _close_frame(self, stack: _ProcStack) -> list:
+    def _synthetic_frame(self, name: str, is_cs: bool, t: int) -> None:
+        """An exit with no open frame: the function was already running
+        when the capture (or the process's first block) began, so the
+        call counts but carries no reliable time."""
+        if not is_cs or self._include_swtch:
+            _agg_synthetic(self._functions, name)
+
+    def _close_frame(self, stack: _ProcStack, t: int, truncated: bool = False) -> list:
+        """Pop *stack*'s innermost frame at time *t* and fold it in;
+        ``truncated`` marks a close no captured exit matched."""
         frames = stack.frames
         frame = frames.pop()
         inclusive = frame[1] + frame[2]
@@ -565,9 +598,10 @@ class SummaryAccumulator:
 
     def _close_through(self, name: str, t: int, index: int) -> None:
         """Close frames down to (and including) the one named *name*."""
-        frames = self._current.frames
+        current = self._current
+        frames = current.frames
         while frames and frames[-1][0] != name:
-            skipped = self._close_frame(self._current)
+            skipped = self._close_frame(current, t, truncated=True)
             self.anomalies.append(
                 Anomaly(
                     index=index,
@@ -580,11 +614,17 @@ class SummaryAccumulator:
                 )
             )
         if frames:
-            self._close_frame(self._current)
+            self._close_frame(current, t)
 
     def _resolve(self, block: list[tuple]) -> Optional[_ProcStack]:
-        """Mirror of :class:`repro.analysis.callstack._Resolver` over the
-        buffered incoming block."""
+        """Switch-in resolution: which suspended stack resumes for *block*?
+
+        The block (up to its closing ``swtch`` entry) is scanned with a
+        depth counter: the first exit unwinding below its opening depth
+        names the top frame of the stack that resumes (the least recently
+        suspended such stack).  With no unwinding exit the least recently
+        suspended empty stack resumes; ``None`` means a new process.
+        """
         unwind: Optional[str] = None
         found = False
         depth = 0
@@ -632,9 +672,12 @@ class SummaryAccumulator:
             self._pending = None
             chosen = self._resolve(block)
             if chosen is None:
-                chosen = _ProcStack()
+                chosen = _ProcStack(f"P{self._procs}")
+                self._procs += 1
             else:
                 self._suspended.remove(chosen)
+            # Nothing was applied since the switch-out: _prev_t is its time.
+            chosen.block_start_us = self._prev_t
             self._current = chosen
             for i, item in enumerate(block):
                 self._apply(*item)
@@ -652,8 +695,9 @@ class SummaryAccumulator:
             return self
         self._drain(final=True)
         for stack in [self._current, *self._suspended]:
+            close_at = self._last_t if stack is self._current else stack.suspended_at_us
             while stack.frames:
-                self._close_frame(stack)
+                self._close_frame(stack, close_at, truncated=True)
         self._wall_us = (self._last_t - self._first_t) if self._first_t is not None else 0
         self._sealed = True
         if _TELEMETRY.enabled:

@@ -17,8 +17,9 @@ Runs entirely on data: no workload executes.  Two layers of checking:
   diagnostic), interrupt frames nested deeper than the machine has
   priority levels, and frames still open when the window closed.
 
-The reconstruction layer reuses the batch analyser
-(:func:`repro.analysis.callstack.build_call_tree`): its anomaly log is
+The reconstruction layer reuses the one call-stack engine (the fold's
+state machine, recording a tree in
+:class:`repro.analysis.callstack.CallTreeRecorder`): its anomaly log is
 precisely the defect list this pass wants, so the verifier and the real
 analysis can never disagree about what a malformed stream contains.
 """
@@ -27,8 +28,14 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis.callstack import build_call_tree
-from repro.analysis.events import EventKind, decode_records
+from repro.analysis.callstack import CallTreeAnalysis, CallTreeRecorder
+from repro.analysis.columnar import (
+    CODE_ENTRY,
+    CODE_EXIT,
+    ColumnarEvents,
+    columns_from_records,
+    decode_columns,
+)
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
@@ -94,8 +101,9 @@ def lint_records(
     report = report if report is not None else LintReport()
 
     # -- raw-record layer ---------------------------------------------------
-    # One column extraction up front: the scan below touches times only.
-    times = [record.time for record in records]
+    # One column extraction up front, shared by every scan below.
+    columns = columns_from_records(records)
+    times = columns.times
     mask = (1 << width_bits) - 1
     regression_floor = 1 << (width_bits - 1)
     previous: Optional[int] = None
@@ -139,15 +147,12 @@ def lint_records(
         # hardware; the P202s above already say everything reconstruction
         # could.
         return report
-    events = decode_records(records, names, width_bits=width_bits)
-    analysis = build_call_tree(events)
-    desyncs = 0
+    recorder = CallTreeRecorder(names, width_bits=width_bits)
+    analysis = recorder.feed_columns(columns).analysis()
     for anomaly in analysis.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)
         if code is None:  # pragma: no cover - future anomaly kinds
             continue
-        if code == "P205":
-            desyncs += 1
         report.add(
             code,
             f"{anomaly.detail} (t={anomaly.time_us} us)",
@@ -156,11 +161,13 @@ def lint_records(
         )
 
     _lint_open_frames(analysis, source, report)
-    _lint_interrupt_nesting(events, source, report)
+    _lint_interrupt_nesting(decode_columns(columns, names, width_bits), source, report)
     return report
 
 
-def _lint_open_frames(analysis, source: str, report: LintReport) -> None:
+def _lint_open_frames(
+    analysis: CallTreeAnalysis, source: str, report: LintReport
+) -> None:
     """Frames never closed by a captured exit: window truncation."""
     open_frames = [
         node.name
@@ -179,25 +186,27 @@ def _lint_open_frames(analysis, source: str, report: LintReport) -> None:
         )
 
 
-def _lint_interrupt_nesting(events, source: str, report: LintReport) -> None:
+def _lint_interrupt_nesting(
+    events: ColumnarEvents, source: str, report: LintReport
+) -> None:
     depth = 0
-    for event in events:
-        if event.name != INTERRUPT_FRAME:
+    for index, (name, code) in enumerate(zip(events.names, events.codes)):
+        if name != INTERRUPT_FRAME:
             continue
-        if event.kind is EventKind.ENTRY:
+        if code == CODE_EXIT:
+            depth = max(0, depth - 1)
+        elif code == CODE_ENTRY:
             depth += 1
             if depth > MAX_INTERRUPT_NESTING:
                 report.add(
                     "P206",
                     f"{INTERRUPT_FRAME} nested {depth} deep at t="
-                    f"{event.time_us} us but the machine has only "
+                    f"{events.times[index]} us but the machine has only "
                     f"{MAX_INTERRUPT_NESTING} interrupt priority levels; "
                     "each nested interrupt needs a strictly higher ipl",
                     source=source,
-                    index=event.index,
+                    index=index,
                 )
-        elif event.kind is EventKind.EXIT:
-            depth = max(0, depth - 1)
 
 
 def verify_capture(
@@ -215,8 +224,3 @@ def verify_capture(
         ram_depth=ram_depth,
         report=report,
     )
-
-
-def count_desyncs(report: Iterable) -> int:
-    """How many kstack-desync diagnostics a report contains."""
-    return sum(1 for diagnostic in report if diagnostic.code == "P205")

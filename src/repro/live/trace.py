@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from repro.analysis.columnar import (
     PairingCarry,
-    build_decode_map,
+    build_tag_map,
     decode_columns,
     pair_entry_exits,
 )
@@ -61,7 +61,7 @@ class LiveTraceWriter:
         self.dropped = 0
         self.closed = False
         self.width_bits = width_bits
-        self._decode_map = build_decode_map(names)
+        self._tag_map = build_tag_map(names)
         self._names = names
         # Cross-batch decode carry: previous raw snapshot, absolute time,
         # global record index.
@@ -114,7 +114,7 @@ class LiveTraceWriter:
             start_index=self._index,
             time_base_us=self._base,
             previous=self._previous,
-            decode_map=self._decode_map,
+            tag_map=self._tag_map,
         )
         self._index += n
         self._base = events.times[-1]

@@ -2,21 +2,28 @@
 
 The shipped decode engine is columnar (:mod:`repro.profiler.upload`'s
 ``decode_record_columns``/``iter_capture_columns`` and
-:mod:`repro.analysis.columnar`).  This module keeps the original
-one-:class:`RawRecord`-at-a-time walkers as an independent, executable
-specification: simple and slow, never on a shipped code path.  The
-differential and salvage-fuzz suites hold the shipped engine
-bit-identical to it — records, decoded events, summaries, defects and
-error messages.
+:mod:`repro.analysis.columnar`) and the shipped call-stack reconstruction
+is the fold's state machine
+(:class:`repro.analysis.summary.SummaryAccumulator`, recording a tree in
+:class:`repro.analysis.callstack.CallTreeRecorder`).  This module keeps
+the original one-:class:`RawRecord`-at-a-time walkers and the look-ahead
+call-tree builder as an independent, executable specification: simple
+and slow, never on a shipped code path.  The differential and
+salvage-fuzz suites hold the shipped engine bit-identical to it —
+records, decoded events, call trees, summaries, defects and error
+messages.
 
 * :func:`load_records` / :func:`iter_record_stream` — the raw record
   stream, batch and chunked;
 * :func:`iter_capture_file` — a whole MPF1/MPF2 file (closed or
   open-ended), with the same end-of-stream count and CRC checks;
+* :func:`reconstruct_times` — the timer unwrap alone;
 * :func:`iter_decoded_events` / :func:`decode_records` — tag decode and
-  timer unwrap, one record at a time;
-* :func:`summarize_records` — the summary the batch call-tree analyser
-  builds from the reference events;
+  timer unwrap, one record at a time, as :class:`DecodedEvent` objects;
+* :func:`build_call_tree` — the call forest, with switch-in resolution
+  by scanning ahead over the decoded events (:class:`_Resolver`);
+* :func:`analyze_capture` / :func:`summarize_records` — the call tree of
+  a capture, and the summary of a record stream's call tree;
 * :func:`read_capture` / :func:`salvage_capture_bytes` — the strict and
   salvaging file readers with every payload byte decoded by
   :func:`load_records`.
@@ -24,17 +31,20 @@ error messages.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import itertools
 import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 from unittest import mock
 
-from repro.analysis.callstack import build_call_tree
-from repro.analysis.events import DecodedEvent, EventKind
-from repro.analysis.summary import ProfileSummary, summarize
+from repro.analysis.callstack import CallNode, CallTreeAnalysis
+from repro.analysis.summary import Anomaly, ProfileSummary, summarize
 from repro.instrument.namefile import NameTable
-from repro.instrument.tags import TagKind
+from repro.instrument.tags import TagEntry, TagKind
 from repro.profiler import upload
+from repro.profiler.capture import Capture
 from repro.profiler.ram import TIME_BITS, RawRecord
 from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
@@ -46,12 +56,6 @@ from repro.profiler.upload import (
     SalvageResult,
     decode_stream_trailer,
 )
-
-_KIND_FROM_TAG = {
-    TagKind.ENTRY: EventKind.ENTRY,
-    TagKind.EXIT: EventKind.EXIT,
-    TagKind.INLINE: EventKind.INLINE,
-}
 
 
 # -- raw records ---------------------------------------------------------------
@@ -238,9 +242,68 @@ def salvage_capture_bytes(blob: bytes) -> SalvageResult:
 # -- decoded events ------------------------------------------------------------
 
 
+class EventKind(enum.Enum):
+    """Decoded meaning of one captured record."""
+
+    ENTRY = "entry"
+    EXIT = "exit"
+    INLINE = "inline"
+    UNKNOWN = "unknown"
+
+
+@dataclasses.dataclass(frozen=True)
+class DecodedEvent:
+    """One record with its reconstructed time and decoded identity."""
+
+    index: int
+    time_us: int
+    kind: EventKind
+    name: str
+    #: The owning name-table entry; ``None`` for unknown tags.
+    entry: Optional[TagEntry]
+    raw: RawRecord
+
+    @property
+    def is_context_switch(self) -> bool:
+        """True when this event belongs to a ``!``-tagged function."""
+        return self.entry is not None and self.entry.context_switch
+
+
+_KIND_FROM_TAG = {
+    TagKind.ENTRY: EventKind.ENTRY,
+    TagKind.EXIT: EventKind.EXIT,
+    TagKind.INLINE: EventKind.INLINE,
+}
+
+
 def _check_width(width_bits: int) -> None:
     if not (1 <= width_bits <= TIME_BITS):
         raise ValueError(f"counter width {width_bits} outside 1..{TIME_BITS} bits")
+
+
+def reconstruct_times(
+    records: Sequence[RawRecord], width_bits: int = 24
+) -> list[int]:
+    """Absolute microsecond timeline from wrapped counter snapshots.
+
+    The first record defines t=0; each subsequent record advances by the
+    modular difference from its predecessor.
+    """
+    _check_width(width_bits)
+    mask = (1 << width_bits) - 1
+    times: list[int] = []
+    absolute = 0
+    previous: Optional[int] = None
+    for record in records:
+        if record.time > mask:
+            raise ValueError(
+                f"record time {record.time} exceeds the {width_bits}-bit counter"
+            )
+        if previous is not None:
+            absolute += (record.time - previous) & mask
+        previous = record.time
+        times.append(absolute)
+    return times
 
 
 def iter_decoded_events(
@@ -307,6 +370,321 @@ def decode_records(
     return list(iter_decoded_events(records, names, width_bits=width_bits))
 
 
+# -- call tree -----------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _Stack:
+    """One process's reconstruction state."""
+
+    proc: str
+    frames: list[CallNode] = dataclasses.field(default_factory=list)
+    roots: list[CallNode] = dataclasses.field(default_factory=list)
+    suspended_at_us: int = 0
+    suspend_seq: int = -1
+    block_start_us: int = 0
+
+
+class _Resolver:
+    """Switch-in resolution: which suspended stack does this block belong to?
+
+    The event stream carries no process identifier, so after a ``swtch``
+    exit the analyser must decide which saved stack resumes.  The incoming
+    block's events are scanned forward (stopping at the block's closing
+    ``swtch`` entry) with a depth counter; entries open new frames, exits
+    first unwind those.  The first exit that unwinds *below* the block's
+    opening depth names a frame the resumed process was suspended inside:
+
+    1. an unwinding exit of function X — resume the least-recently
+       suspended stack whose top open frame is X;
+    2. no unwinding exit in the whole block — the process never returned
+       into pre-existing frames: resume the least-recently-suspended
+       *empty* stack (a process that was in user mode) if any;
+    3. otherwise — a process not seen before: start a fresh stack.
+    """
+
+    def __init__(self, events: Sequence[DecodedEvent]) -> None:
+        self._events = events
+
+    def resolve(
+        self, next_index: int, suspended: list[_Stack]
+    ) -> Optional[_Stack]:
+        unwind_name = self._unwinding_exit(next_index)
+        if unwind_name is not None:
+            matches = [
+                stack
+                for stack in suspended
+                if stack.frames and stack.frames[-1].name == unwind_name
+            ]
+            if matches:
+                return min(matches, key=lambda s: s.suspend_seq)
+            return None
+        empty = [stack for stack in suspended if not stack.frames]
+        if empty:
+            return min(empty, key=lambda s: s.suspend_seq)
+        return None
+
+    def _unwinding_exit(self, index: int) -> Optional[str]:
+        """Name of the first exit unwinding below the block's start depth.
+
+        Returns ``None`` when the block ends (next context switch or end
+        of capture) without such an exit.
+        """
+        depth = 0
+        # Indexed loop, not islice: islice steps through the first *index*
+        # elements to skip them, which turns a long capture with many
+        # context switches into an O(n^2) analysis.
+        events = self._events
+        for i in range(index, len(events)):
+            event = events[i]
+            if event.kind is EventKind.ENTRY:
+                if event.is_context_switch:
+                    return None
+                depth += 1
+            elif event.kind is EventKind.EXIT:
+                if depth > 0:
+                    depth -= 1
+                else:
+                    return event.name
+        return None
+
+
+def build_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
+    """Reconstruct the call forest from a decoded event stream."""
+    anomalies: list[Anomaly] = []
+    roots: list[CallNode] = []
+    resolver = _Resolver(events)
+    proc_counter = itertools.count()
+    suspend_counter = itertools.count()
+
+    start_us = events[0].time_us if events else 0
+    current = _Stack(proc=f"P{next(proc_counter)}", block_start_us=start_us)
+    all_stacks = [current]
+    suspended: list[_Stack] = []
+    prev_time = start_us
+    unattributed_us = 0
+    context_switches = 0
+    orphan_marks: list[tuple[int, str]] = []
+
+    def open_frame(stack: _Stack, event: DecodedEvent, is_swtch: bool) -> CallNode:
+        node = CallNode(
+            name=event.name,
+            enter_us=event.time_us,
+            proc=stack.proc,
+            is_swtch=is_swtch,
+            depth=len(stack.frames),
+        )
+        if stack.frames:
+            stack.frames[-1].children.append(node)
+        else:
+            stack.roots.append(node)
+            roots.append(node)
+        stack.frames.append(node)
+        return node
+
+    def close_frame(stack: _Stack, time_us: int) -> CallNode:
+        node = stack.frames.pop()
+        node.exit_us = time_us
+        return node
+
+    def close_through(stack: _Stack, name: str, event: DecodedEvent) -> None:
+        """Close frames down to (and including) the one named *name*."""
+        while stack.frames and stack.frames[-1].name != name:
+            skipped = close_frame(stack, event.time_us)
+            skipped.truncated = True
+            anomalies.append(
+                Anomaly(
+                    index=event.index,
+                    time_us=event.time_us,
+                    kind="missed-exit",
+                    detail=(
+                        f"exit of {name!r} arrived while {skipped.name!r} "
+                        "was still open; closed it administratively"
+                    ),
+                )
+            )
+        if stack.frames:
+            close_frame(stack, event.time_us)
+
+    for event in events:
+        # 1. Attribute the elapsed interval to the innermost active frame.
+        dt = event.time_us - prev_time
+        if current.frames:
+            current.frames[-1].self_us += dt
+        else:
+            unattributed_us += dt
+        prev_time = event.time_us
+
+        # 2. Apply the event.
+        if event.kind is EventKind.INLINE or event.kind is EventKind.UNKNOWN:
+            if event.kind is EventKind.UNKNOWN:
+                anomalies.append(
+                    Anomaly(
+                        index=event.index,
+                        time_us=event.time_us,
+                        kind="unknown-tag",
+                        detail=f"tag {event.raw.tag} is in no name file",
+                    )
+                )
+            if current.frames:
+                current.frames[-1].inline_marks.append((event.time_us, event.name))
+            else:
+                # A point hit with no open frame: user-mode inline marks
+                # between profiled calls land here.
+                orphan_marks.append((event.time_us, event.name))
+            continue
+
+        if event.kind is EventKind.ENTRY:
+            open_frame(current, event, is_swtch=event.is_context_switch)
+            continue
+
+        # EXIT events.
+        if event.is_context_switch:
+            # Close the swtch frame (tolerating interrupt frames left open
+            # above it), then switch stacks.
+            open_names = [frame.name for frame in current.frames]
+            if event.name in open_names:
+                close_through(current, event.name, event)
+            else:
+                node = CallNode(
+                    name=event.name,
+                    enter_us=current.block_start_us,
+                    proc=current.proc,
+                    is_swtch=True,
+                    synthetic=True,
+                    exit_us=event.time_us,
+                )
+                if current.frames:
+                    current.frames[-1].children.append(node)
+                else:
+                    current.roots.append(node)
+                    roots.append(node)
+                anomalies.append(
+                    Anomaly(
+                        index=event.index,
+                        time_us=event.time_us,
+                        kind="unmatched-swtch-exit",
+                        detail="context-switch exit with no open swtch frame",
+                    )
+                )
+            context_switches += 1
+            current.suspended_at_us = event.time_us
+            current.suspend_seq = next(suspend_counter)
+            suspended.append(current)
+            chosen = resolver.resolve(event.index + 1, suspended)
+            if chosen is None:
+                chosen = _Stack(proc=f"P{next(proc_counter)}")
+                all_stacks.append(chosen)
+            else:
+                suspended.remove(chosen)
+            chosen.block_start_us = event.time_us
+            current = chosen
+            continue
+
+        # Ordinary exit.
+        open_names = [frame.name for frame in current.frames]
+        if event.name in open_names:
+            close_through(current, event.name, event)
+        else:
+            node = CallNode(
+                name=event.name,
+                enter_us=current.block_start_us,
+                proc=current.proc,
+                synthetic=True,
+                exit_us=event.time_us,
+                depth=len(current.frames),
+            )
+            if current.frames:
+                current.frames[-1].children.append(node)
+            else:
+                current.roots.append(node)
+                roots.append(node)
+            anomalies.append(
+                Anomaly(
+                    index=event.index,
+                    time_us=event.time_us,
+                    kind="unmatched-exit",
+                    detail=(
+                        f"exit of {event.name!r} with no matching entry "
+                        "(function was already running when the capture began?)"
+                    ),
+                )
+            )
+
+    # 3. Close everything still open (capture window truncation).
+    end_us = events[-1].time_us if events else 0
+    for stack in [current] + suspended:
+        close_at = end_us if stack is current else stack.suspended_at_us
+        while stack.frames:
+            node = close_frame(stack, close_at)
+            node.truncated = True
+
+    idle_us = sum(
+        node.self_us
+        for root in roots
+        for node in root.walk()
+        if node.is_swtch
+    )
+    wall_us = end_us - start_us
+    return CallTreeAnalysis(
+        roots=roots,
+        anomalies=anomalies,
+        wall_us=wall_us,
+        idle_us=idle_us,
+        unattributed_us=unattributed_us,
+        event_count=len(events),
+        context_switches=context_switches,
+        procs=tuple(stack.proc for stack in all_stacks),
+        orphan_marks=orphan_marks,
+    )
+
+
+def analyze_capture(capture: Capture) -> CallTreeAnalysis:
+    """The reference call forest of an in-memory *capture*."""
+    return build_call_tree(
+        decode_records(capture.records, capture.names, capture.counter_width_bits)
+    )
+
+
+def tree_fields(analysis: CallTreeAnalysis) -> tuple:
+    """Everything a call-tree analysis says, as one comparable value.
+
+    Node for node, in preorder: name, times, proc, flags, self and
+    inclusive time, depth, inline marks and child count; then the
+    headline accounting, the process list, the orphan marks and the
+    anomaly log.  Two analyses with equal fields render every tree
+    report identically.
+    """
+    nodes = [
+        (
+            node.name,
+            node.enter_us,
+            node.exit_us,
+            node.proc,
+            node.is_swtch,
+            node.synthetic,
+            node.truncated,
+            node.self_us,
+            node.inclusive_us,
+            node.depth,
+            tuple(node.inline_marks),
+            len(node.children),
+        )
+        for node in analysis.nodes()
+    ]
+    return (
+        nodes,
+        analysis.wall_us,
+        analysis.idle_us,
+        analysis.unattributed_us,
+        analysis.event_count,
+        analysis.context_switches,
+        analysis.procs,
+        tuple(analysis.orphan_marks),
+        [(a.index, a.time_us, a.kind, a.detail) for a in analysis.anomalies],
+    )
+
+
 def summarize_records(
     records: Sequence[RawRecord],
     names: NameTable,
@@ -319,12 +697,18 @@ def summarize_records(
 
 
 __all__ = [
+    "DecodedEvent",
+    "EventKind",
+    "analyze_capture",
+    "build_call_tree",
     "decode_records",
     "iter_capture_file",
     "iter_decoded_events",
     "iter_record_stream",
     "load_records",
     "read_capture",
+    "reconstruct_times",
     "salvage_capture_bytes",
     "summarize_records",
+    "tree_fields",
 ]

@@ -1,4 +1,10 @@
-"""Tests for tag decode and 24-bit time reconstruction."""
+"""Tests for tag decode and 24-bit time reconstruction.
+
+The shipped decode is columnar (:func:`repro.analysis.columnar.unwrap_times`
+and :func:`~repro.analysis.columnar.decode_columns`); each unwrap case
+also holds the per-record oracle's :func:`reconstruct_times` to the same
+timeline.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +13,38 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.columnar import unwrap_times
-from repro.analysis.events import (
-    EventKind,
-    decode_capture,
-    decode_records,
-    reconstruct_times,
+from repro.analysis.callstack import analyze_capture
+from repro.analysis.columnar import (
+    CODE_ENTRY,
+    CODE_EXIT,
+    CODE_INLINE,
+    CODE_UNKNOWN,
+    build_tag_map,
+    columns_from_records,
+    decode_columns,
+    pair_entry_exits,
+    unwrap_times,
 )
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import read_capture_meta
 
 import reference_decode
+from reference_decode import reconstruct_times as reference_times
 from stream_helpers import make_names, stream
+
+
+def reconstruct_times(records, width_bits=24):
+    """The shipped unwrap, checked against the oracle on the way."""
+    times = unwrap_times([record.time for record in records], width_bits)
+    assert times == reference_times(records, width_bits=width_bits)
+    return times
+
+
+def decode(capture_or_records, names=None, width_bits=24):
+    records = getattr(capture_or_records, "records", capture_or_records)
+    names = names if names is not None else capture_or_records.names
+    return decode_columns(columns_from_records(records), names, width_bits)
 
 
 class TestReconstructTimes:
@@ -52,7 +77,9 @@ class TestReconstructTimes:
             time = 1 << 24
 
         with pytest.raises(ValueError):
-            reconstruct_times([Fake()])
+            unwrap_times([Fake.time])
+        with pytest.raises(ValueError):
+            reference_times([Fake()])
 
     @given(
         gaps=st.lists(
@@ -79,32 +106,33 @@ class TestDecode:
             ("=", "MGET", 5),
             ("<", "main", 10),
         )
-        events = decode_capture(capture)
-        assert [e.kind for e in events] == [
-            EventKind.ENTRY,
-            EventKind.INLINE,
-            EventKind.EXIT,
-        ]
-        assert [e.name for e in events] == ["main", "MGET", "main"]
-        assert [e.time_us for e in events] == [0, 5, 10]
+        events = decode(capture)
+        assert list(events.codes) == [CODE_ENTRY, CODE_INLINE, CODE_EXIT]
+        assert list(events.names) == ["main", "MGET", "main"]
+        assert list(events.times) == [0, 5, 10]
 
     def test_unknown_tag(self, simple_names):
         records = [RawRecord(tag=40_000, time=0)]
-        events = decode_records(records, simple_names)
-        assert events[0].kind is EventKind.UNKNOWN
-        assert events[0].name == "tag#40000"
-        assert events[0].entry is None
+        events = decode(records, simple_names)
+        assert events.codes[0] == CODE_UNKNOWN
+        assert events.names[0] == "tag#40000"
 
     def test_context_switch_flag(self, simple_names):
         capture = stream(simple_names, (">", "swtch", 0), ("<", "swtch", 9))
-        events = decode_capture(capture)
-        assert all(e.is_context_switch for e in events)
+        tag_map = build_tag_map(simple_names)
+        assert all(tag_map[record.tag][2] for record in capture.records)
+        tree = analyze_capture(capture)
+        assert tree.roots[0].is_swtch and tree.context_switches == 1
 
     def test_indices_sequential(self, simple_names):
         capture = stream(
             simple_names, (">", "main", 0), (">", "read", 1), ("<", "read", 2)
         )
-        assert [e.index for e in decode_capture(capture)] == [0, 1, 2]
+        events = decode_columns(
+            columns_from_records(capture.records), simple_names, start_index=7
+        )
+        spans = pair_entry_exits(events)
+        assert [(s.entry_index, s.exit_index) for s in spans] == [(8, 9)]
 
 
 class TestCounterWidthEdges:
@@ -122,20 +150,22 @@ class TestCounterWidthEdges:
         # Width 24: the stock board, full record range.
         assert reconstruct_times(records, width_bits=24) == [0, 1]
         for width in (1, 24):
-            for decode in (reference_decode.decode_records, decode_records):
-                assert decode(records, simple_names, width_bits=width)
+            assert reference_decode.decode_records(
+                records, simple_names, width_bits=width
+            )
+            assert len(decode(records, simple_names, width_bits=width)) == 2
 
     @pytest.mark.parametrize("width_bits", [0, 25, -1])
     def test_width_out_of_bounds_rejected(self, simple_names, width_bits):
         records = [RawRecord(tag=0, time=0)]
         expected = f"counter width {width_bits} outside 1..24"
         with pytest.raises(ValueError, match=expected):
-            reconstruct_times(records, width_bits=width_bits)
+            reference_times(records, width_bits=width_bits)
         with pytest.raises(ValueError, match=expected):
             unwrap_times([0], width_bits)
-        for decode in (reference_decode.decode_records, decode_records):
+        for decoder in (reference_decode.decode_records, decode):
             with pytest.raises(ValueError, match=expected):
-                decode(records, simple_names, width_bits=width_bits)
+                decoder(records, simple_names, width_bits=width_bits)
 
     def test_width_one_wraps_every_tick(self):
         """0,1,0,1 on a 1-bit counter is a strictly advancing timeline."""
@@ -154,7 +184,8 @@ class TestCounterWidthEdges:
 
     def test_overflow_flag_header_roundtrip(self, simple_names, tmp_path):
         """An MPF2 header carrying overflow + narrow width drives decode
-        identically through the decoder and the per-record oracle."""
+        and the call tree identically through the shipped engine and the
+        per-record oracle."""
         capture = stream(
             simple_names, (">", "main", 4), ("<", "main", 60_000)
         )
@@ -172,5 +203,10 @@ class TestCounterWidthEdges:
         reference = reference_decode.decode_records(
             loaded.records, simple_names, width_bits=16
         )
-        assert decode_capture(loaded) == reference
+        assert list(decode(loaded, width_bits=16).times) == [0, 59_996]
         assert [e.time_us for e in reference] == [0, 59_996]
+        tree = analyze_capture(loaded)
+        assert reference_decode.tree_fields(tree) == reference_decode.tree_fields(
+            reference_decode.analyze_capture(loaded)
+        )
+        assert tree.wall_us == 59_996

@@ -3,7 +3,9 @@
 The analyzer must never crash and must conserve time on *any* event
 stream the hardware could plausibly record: well-formed nested streams,
 streams with context switches, and streams truncated at both ends by the
-capture window.
+capture window.  Every stream is also reconstructed by the look-ahead
+oracle in ``tests/reference_decode.py``, and the two trees must agree
+node for node.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.callstack import analyze_capture, build_call_tree
-from repro.analysis.events import decode_capture
+from repro.analysis import callstack
 from repro.analysis.summary import summarize
 
+import reference_decode
 from stream_helpers import make_names, stream
 
 NAMES = make_names(
@@ -28,6 +30,15 @@ NAMES = make_names(
     ("MARK", 1002, "="),
 )
 FUNCTIONS = ["fn_a", "fn_b", "fn_c", "fn_d", "fn_e"]
+
+
+def analyze_capture(capture):
+    """The shipped call tree, held node for node to the oracle's."""
+    analysis = callstack.analyze_capture(capture)
+    assert reference_decode.tree_fields(analysis) == reference_decode.tree_fields(
+        reference_decode.analyze_capture(capture)
+    )
+    return analysis
 
 
 def generate_wellformed(seed: int, max_events: int = 120) -> list[tuple[str, str, int]]:

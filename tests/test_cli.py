@@ -158,6 +158,74 @@ class TestAnalyzeBadInput:
         assert messages[0] == messages[1]
 
 
+class TestTreeCommandsBadInput:
+    """``trace export`` and ``lint`` hold the same one-line, exit-2
+    contract as ``analyze`` on input they cannot read."""
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            ("trace export", "truncated"),
+            ("trace export", "missing"),
+            ("trace export", "missing-names"),
+            ("lint", "missing-names"),
+        ],
+    )
+    def test_one_line_diagnostic_and_exit_2(self, command, case, tmp_path, capsys):
+        capture, names = _hostile_inputs(tmp_path)[case]
+        culprit = names if case == "missing-names" else capture
+        argv = [*command.split(), capture, "--names", names]
+        if command == "trace export":
+            argv += ["-o", str(tmp_path / "out.trace.json")]
+        code, lines = run_cli_code(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert lines == []
+        assert err.startswith(f"{command}: {culprit}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out.trace.json").exists()
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    """``repro ... | head -1``: the reader leaves early, the run ends
+    with exit 1 and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "analyze",
+            str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+            "--names", GOLDEN_TAGS, "--report", "trace",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"loaded ")
+    proc.stdout.close()  # far more trace than a pipe buffer is still unwritten
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_broken_pipe_on_another_sink_still_raises(monkeypatch):
+    """Only a closed stdout ends quietly: a pipe the command writes
+    itself (a FIFO, a socket) whose reader died still raises."""
+    import repro.__main__ as cli
+
+    def write_to_dead_pipe(args, out):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            os.write(write_end, b"record")
+        finally:
+            os.close(write_end)
+
+    monkeypatch.setattr(cli, "cmd_workloads", write_to_dead_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["workloads"], out=lambda line: None)
+
+
 class TestMpf1Warning:
     @pytest.mark.parametrize(
         "extra",
@@ -188,12 +256,14 @@ class TestOneSummaryEngine:
 
     @pytest.fixture
     def no_call_tree(self, monkeypatch):
-        from repro.analysis import callstack
+        from repro.analysis.callstack import CallTreeRecorder
 
-        def refuse(events):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("call tree built")
 
-        monkeypatch.setattr(callstack, "build_call_tree", refuse)
+        # Every tree is recorded by a CallTreeRecorder; no summary may
+        # construct one.
+        monkeypatch.setattr(CallTreeRecorder, "__init__", refuse)
 
     def test_summaries_never_build_the_tree(self, no_call_tree, tmp_path):
         from repro.analysis.reports import full_report

@@ -4,10 +4,12 @@ Every property here generates a record stream (wrap-heavy timers,
 interrupt bursts, unknown tags, zero-length and trace-RAM-filling
 captures, MPF1 and MPF2 files) and asserts the columnar engine agrees
 *exactly* with the per-record reference decoder in
-``tests/reference_decode.py``: field-identical ``DecodedEvent``
-sequences, identical summary bytes (and therefore identical summary
-hashes) against the batch call-tree analyser, and identical error
-messages and carried accumulator state when a stream is malformed.
+``tests/reference_decode.py``: decoded columns field-identical to the
+oracle's ``DecodedEvent`` sequences, identical summary bytes (and
+therefore identical summary hashes) against the oracle's look-ahead
+call-tree builder, and identical error messages and carried accumulator
+state when a stream is malformed.  The node-for-node call-tree
+differential lives in ``tests/test_tree_differential.py``.
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -26,10 +28,10 @@ from hypothesis import given, settings, strategies as st
 
 import reference_decode as reference
 from repro.analysis import columnar
-from repro.analysis.events import decode_records, iter_decoded_events
 from repro.analysis.summary import SummaryAccumulator
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
+    DEFAULT_CHUNK_RECORDS,
     decode_record_columns,
     dump_records,
     iter_capture_columns,
@@ -133,15 +135,60 @@ def call_streams(draw, max_blocks: int = 30) -> list[RawRecord]:
     return records
 
 
+_CODE_FROM_KIND = {
+    reference.EventKind.ENTRY: columnar.CODE_ENTRY,
+    reference.EventKind.EXIT: columnar.CODE_EXIT,
+    reference.EventKind.INLINE: columnar.CODE_INLINE,
+    reference.EventKind.UNKNOWN: columnar.CODE_UNKNOWN,
+}
+
+
 def _event_fields(event):
-    return (
-        event.index,
-        event.time_us,
-        event.kind,
-        event.name,
-        event.entry,
-        event.raw,
-    )
+    """An oracle ``DecodedEvent`` as the tuple :func:`_column_fields` yields."""
+    return (event.index, event.time_us, _CODE_FROM_KIND[event.kind], event.name)
+
+
+def _column_fields(events):
+    """One tuple per event of a :class:`columnar.ColumnarEvents` batch."""
+    return [
+        (index, time_us, code, name)
+        for index, (time_us, code, name) in enumerate(
+            zip(events.times, events.codes, events.names),
+            start=events.start_index,
+        )
+    ]
+
+
+def _decode(records, width_bits=24, chunk_records=DEFAULT_CHUNK_RECORDS):
+    """The shipped columnar decode of a record stream, batch by batch,
+    carrying index, absolute time and the previous snapshot across
+    batches as the live wire does."""
+    tag_map = columnar.build_tag_map(NAMES)
+    fields = []
+    previous = None
+    base = 0
+    for start in range(0, len(records), chunk_records):
+        chunk = records[start : start + chunk_records]
+        batch = columnar.decode_columns(
+            columnar.columns_from_records(chunk),
+            NAMES,
+            width_bits,
+            start_index=start,
+            time_base_us=base,
+            previous=previous,
+            tag_map=tag_map,
+        )
+        fields.extend(_column_fields(batch))
+        base = batch.times[-1]
+        previous = chunk[-1].time
+    return fields
+
+
+def _reference(records, width_bits=24):
+    return [
+        _event_fields(event)
+        for event in reference.decode_records(records, NAMES, width_bits=width_bits)
+    ]
 
 
 def _summary_hash(summary) -> str:
@@ -213,17 +260,13 @@ class TestEventParity:
         """The shipped decoder, and the batch decode continuing a longer
         stream (the carry the live wire relies on), both match the
         oracle field for field."""
-        shipped = list(iter_decoded_events(iter(records), NAMES))
-        expected = list(reference.iter_decoded_events(iter(records), NAMES))
-        assert len(shipped) == len(expected)
-        for got, want in zip(shipped, expected):
-            assert _event_fields(got) == _event_fields(want)
+        assert _decode(records, chunk_records=7) == _reference(records)
         continued = columnar.decode_columns(
             columnar.columns_from_records(records),
             NAMES,
             start_index=start_index,
             time_base_us=time_base_us,
-        ).to_events()
+        )
         expected = list(
             reference.iter_decoded_events(
                 iter(records),
@@ -232,21 +275,19 @@ class TestEventParity:
                 time_base_us=time_base_us,
             )
         )
-        assert [_event_fields(e) for e in continued] == [
-            _event_fields(e) for e in expected
-        ]
+        assert _column_fields(continued) == [_event_fields(e) for e in expected]
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=80), width_bits=st.sampled_from([8, 16, 24]))
     def test_narrow_counter_widths_agree(self, records, width_bits):
         mask = (1 << width_bits) - 1
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
-        assert decode_records(
-            narrowed, NAMES, width_bits=width_bits
-        ) == reference.decode_records(narrowed, NAMES, width_bits=width_bits)
+        assert _decode(narrowed, width_bits=width_bits) == _reference(
+            narrowed, width_bits=width_bits
+        )
 
     def test_zero_length_capture(self):
-        assert decode_records([], NAMES) == []
+        assert _decode([]) == []
         assert reference.decode_records([], NAMES) == []
         assert decode_record_columns(b"").to_records() == []
 
@@ -258,11 +299,10 @@ class TestEventParity:
             # Big steps so the counter wraps inside *and* across batches.
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
-        expected = reference.decode_records(records, NAMES)
-        via_columns = decode_records(records, NAMES)
-        assert via_columns == expected
+        via_columns = _decode(records)
+        assert via_columns == _reference(records)
         # Absolute time must climb monotonically across batch seams.
-        times = [e.time_us for e in via_columns]
+        times = [fields[1] for fields in via_columns]
         assert times == sorted(times)
 
     def test_max_count_capture(self):
@@ -271,9 +311,7 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert decode_records(records, NAMES) == reference.decode_records(
-            records, NAMES
-        )
+        assert _decode(records) == _reference(records)
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=60))
@@ -281,9 +319,9 @@ class TestEventParity:
         """A 24-bit snapshot fed as 16-bit: same ValueError, same message."""
         poisoned = list(records) + [RawRecord(tag=KNOWN_TAGS[0], time=0x1_0000)]
         errors = []
-        for decode in (reference.decode_records, decode_records):
+        for decode in (_reference, _decode):
             with pytest.raises(ValueError) as excinfo:
-                decode(poisoned, NAMES, width_bits=16)
+                decode(poisoned, width_bits=16)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
@@ -300,7 +338,7 @@ class TestSummaryParity:
     )
     def test_summary_bytes_identical(self, records, chunk_records, include_swtch):
         """The fold over columnar batches of any size, and over records,
-        matches the batch call-tree analyser over oracle events."""
+        matches the oracle's call-tree summary."""
         expected = reference.summarize_records(
             records, NAMES, include_swtch=include_swtch
         )

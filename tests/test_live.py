@@ -26,7 +26,7 @@ import reference_decode
 from stream_helpers import make_names
 from repro.analysis.columnar import (
     PairingCarry,
-    build_decode_map,
+    build_tag_map,
     columns_from_records,
     decode_columns,
     pair_entry_exits,
@@ -422,7 +422,7 @@ class TestLiveTrace:
         whole = pair_entry_exits(decode_columns(columns_from_records(records), names))
         carry = PairingCarry()
         chunked = []
-        decode_map = build_decode_map(names)
+        tag_map = build_tag_map(names)
         previous, base, index = None, 0, 0
         for start in range(0, len(records), 13):
             chunk = records[start : start + 13]
@@ -432,7 +432,7 @@ class TestLiveTrace:
                 start_index=index,
                 time_base_us=base,
                 previous=previous,
-                decode_map=decode_map,
+                tag_map=tag_map,
             )
             chunked.extend(pair_entry_exits(events, carry))
             index += len(chunk)

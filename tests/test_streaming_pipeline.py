@@ -1,8 +1,10 @@
-"""Property-style parity tests: batch call tree == streaming fold.
+"""Property-style parity tests: the oracle's call tree == the shipped fold.
 
 Fifty randomly generated traces (fixed seeds, no wall clock anywhere) are
-pushed through both analysis paths; the summaries must be byte-identical
-and the anomaly lists must match the batch reconstruction exactly.  The generator deliberately produces *hostile* streams — random
+pushed through the shipped fold and through the look-ahead call-tree
+builder in ``tests/reference_decode.py``; the summaries must be
+byte-identical, the anomaly lists must match the oracle's exactly, and
+the shipped call tree must match the oracle's node for node.  The generator deliberately produces *hostile* streams — random
 nesting, unmatched exits, context switches mid-call, inline marks, and
 time deltas large enough to wrap the 24-bit counter many times — because
 the parity claim is about the pipeline, not about well-formed kernels.
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+import reference_decode
 from stream_helpers import make_names
 
 from repro.analysis.callstack import analyze_capture
@@ -100,14 +103,19 @@ def orderly_records(seed: int, blocks: int = 60):
 
 
 def batch_summary(records):
+    """The oracle's summary and anomalies; the shipped tree must match
+    the oracle's on the way."""
     capture = Capture(records=tuple(records), names=NAMES, label="property")
-    analysis = analyze_capture(capture)
+    analysis = reference_decode.analyze_capture(capture)
+    assert reference_decode.tree_fields(
+        analyze_capture(capture)
+    ) == reference_decode.tree_fields(analysis)
     return summarize(analysis), analysis.anomalies
 
 
 def assert_parity(records, *, batch_records=64):
     """Fold *records* in columnar batches of ``batch_records`` and check
-    the summary and anomalies against the batch call tree."""
+    the summary and anomalies against the oracle's call tree."""
     batch, batch_anomalies = batch_summary(records)
     accumulator = SummaryAccumulator(NAMES)
     for start in range(0, len(records), batch_records):
@@ -184,4 +192,6 @@ def test_streaming_capture_helper_matches_batch(simple_names):
         (">", "swtch", 210),
     )
     streamed = SummaryAccumulator(capture.names).feed_records(capture.records)
-    assert streamed.summary().format() == summarize(analyze_capture(capture)).format()
+    expected = summarize(reference_decode.analyze_capture(capture)).format()
+    assert streamed.summary().format() == expected
+    assert summarize(analyze_capture(capture)).format() == expected
