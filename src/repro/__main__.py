@@ -215,18 +215,18 @@ def _make_progress(
 def _header_total(path) -> Optional[int]:
     """Best-effort record count from the capture header (for the ETA).
 
-    Unreadable or damaged headers return ``None`` — the fold itself will
-    report the real, well-worded error moments later.  So do
-    open-ended (streamed) captures: their header count is a sentinel,
-    and the true count only exists in the end-of-stream trailer.
+    ``None`` for unreadable or damaged headers (the fold reports those),
+    for open-ended captures (their count is in the trailer) and for a
+    source that is not a regular file (a pipe: probing it would consume
+    the header the fold needs).
     """
+    if not os.path.isfile(path):
+        return None
     try:
         meta = cached_capture_meta(path)
     except (OSError, ValueError):
         return None
-    if meta.streamed:
-        return None
-    return meta.count or None
+    return None if meta.streamed else meta.count or None
 
 
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 import time
 from itertools import islice
 from pathlib import Path
@@ -42,10 +43,8 @@ from repro.profiler.upload import (
     CaptureDefect,
     CaptureMeta,
     RecordColumns,
-    cached_capture_meta,
-    iter_capture_columns,
+    open_capture_columns,
     salvage_capture,
-    salvage_capture_bytes,
 )
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
@@ -817,11 +816,11 @@ class FoldResult:
     decoder recovered records from a damaged file) or ``failed``
     (nothing usable; ``error`` says why and ``fault`` holds the exception
     that stopped the fold).  ``meta`` is the header the fold
-    trusted: the salvager's on ``salvaged``, the probe's otherwise
+    trusted: the salvager's on ``salvaged``, the reader's otherwise
     (``None`` when not even the header could be read).  ``records``
     counts records folded; on ``failed`` it counts the whole batches the
     clean attempt folded before the fault.  ``fold_s`` is the clean
-    attempt's wall time (probe included), ``salvage_s`` the salvage and
+    attempt's wall time (header read included), ``salvage_s`` the salvage and
     refold's.
     """
 
@@ -845,30 +844,34 @@ def fold_capture(
 ) -> FoldResult:
     """Fold one capture file into a sealed :class:`SummaryAccumulator`.
 
-    The one ingest path every entry point shares: probe the header, fold
-    columnar batches off the file with the header's counter width, and —
-    with ``salvage`` — on a content fault run the salvaging decoder and
-    refold whatever survived from scratch.  *source* is a path or the
-    whole file's bytes (a caller that also fingerprints the file reads it
-    once).  ``progress`` is called with each clean batch's record count.
-    Never raises on a bad capture: faults land in the :class:`FoldResult`.
+    The one ingest path every entry point shares: open the capture once,
+    fold columnar batches off it with the header's counter width, and —
+    with ``salvage`` — on a content fault run the salvager and refold
+    whatever survived from scratch.  *source* is a path or the whole
+    file's bytes (a caller that also fingerprints the file reads it
+    once); a path that is not a regular file (a pipe) can be read only
+    once, so under ``salvage`` it is read into memory first and the
+    salvager sees the bytes the clean attempt saw.  ``progress`` is
+    called with each clean batch's record count.  Never raises on a bad
+    capture: faults land in the :class:`FoldResult`.
     """
-    # The header probe hands a seekable stream back at its start.
-    stream = io.BytesIO(source) if isinstance(source, bytes) else source
     started = time.perf_counter()
     meta: Optional[CaptureMeta] = None
     records = 0
     try:
+        if salvage and not isinstance(source, bytes) and not os.path.isfile(source):
+            source = Path(source).read_bytes()
+        stream = io.BytesIO(source) if isinstance(source, bytes) else source
         with _TELEMETRY.span("analysis.fold_capture"):
-            meta = cached_capture_meta(stream)
-            accumulator = SummaryAccumulator(
-                names, width_bits=meta.counter_width_bits
-            )
-            for batch in iter_capture_columns(stream):
-                accumulator.feed_columns(batch)
-                records += len(batch)
-                if progress is not None:
-                    progress(len(batch))
+            with open_capture_columns(stream) as (meta, batches):
+                accumulator = SummaryAccumulator(
+                    names, width_bits=meta.counter_width_bits
+                )
+                for batch in batches:
+                    accumulator.feed_columns(batch)
+                    records += len(batch)
+                    if progress is not None:
+                        progress(len(batch))
             accumulator.close()
     except (OSError, ValueError) as exc:
         fault: Exception = exc
@@ -885,10 +888,7 @@ def fold_capture(
         )
     started = time.perf_counter()
     try:
-        if isinstance(source, bytes):
-            result = salvage_capture_bytes(source)
-        else:
-            result = salvage_capture(source)
+        result = salvage_capture(source)
     except OSError as exc:
         return FoldResult(
             "failed", meta, None, records,

@@ -4,7 +4,7 @@ The runtime half of the coverage cross: fold every capture under a
 directory (planned by :func:`repro.fleet.ingest.plan_fleet`, so the scan
 order — and everything derived from it — is a pure function of the
 directory contents) into per-capture *observed tag* sets, decoded on the
-columnar batch leg (:func:`repro.profiler.upload.iter_capture_columns`).
+columnar batch leg (:func:`repro.profiler.upload.open_capture_columns`).
 
 A capture contributes the set of distinct function names its records
 decode to — entry, exit and inline tags all collapse onto the function
@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from repro.fleet.ingest import FleetPlan, plan_fleet, resolve_jobs
 from repro.instrument.namefile import DUMMY_NAME, NameTable
-from repro.profiler.upload import cached_capture_meta, iter_capture_columns
+from repro.profiler.upload import open_capture_columns
 from repro.workloads import workload_for_label
 
 #: Group key for captures whose label decodes to no registry workload.
@@ -108,19 +108,19 @@ def scan_capture_coverage(
     source = str(path)
     label = ""
     try:
-        meta = cached_capture_meta(source)
-        label = meta.label
         observed: set[str] = set()
         unknown: set[int] = set()
         records = 0
-        for batch in iter_capture_columns(source):
-            records += len(batch)
-            for value in set(batch.tags):
-                decoded = names.decode(value)
-                if decoded is None:
-                    unknown.add(value)
-                else:
-                    observed.add(decoded[0].name)
+        with open_capture_columns(source) as (meta, batches):
+            label = meta.label
+            for batch in batches:
+                records += len(batch)
+                for value in set(batch.tags):
+                    decoded = names.decode(value)
+                    if decoded is None:
+                        unknown.add(value)
+                    else:
+                        observed.add(decoded[0].name)
         observed.discard(DUMMY_NAME)
         return CaptureCoverage(
             index=index,

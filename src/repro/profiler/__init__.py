@@ -26,12 +26,12 @@ from repro.profiler.upload import (
     CaptureDefect,
     CaptureMeta,
     CaptureMetadataWarning,
+    CaptureStreamWriter,
     SalvageResult,
     dump_records,
+    open_capture_columns,
     read_capture,
-    read_capture_file,
     salvage_capture,
-    salvage_capture_stream,
     write_capture_file,
     write_capture_stream,
 )
@@ -43,6 +43,7 @@ __all__ = [
     "CaptureMeta",
     "CaptureMetadataWarning",
     "CaptureSession",
+    "CaptureStreamWriter",
     "ControlLogic",
     "EpromSocket",
     "MicrosecondCounter",
@@ -53,10 +54,9 @@ __all__ = [
     "SalvageResult",
     "TraceRam",
     "dump_records",
+    "open_capture_columns",
     "read_capture",
-    "read_capture_file",
     "salvage_capture",
-    "salvage_capture_stream",
     "write_capture_file",
     "write_capture_stream",
 ]

@@ -3,23 +3,19 @@
 The paper's workflow: "the timing data is retrieved by transferring the
 RAMs into another networked embedded host, and copying the profile data to
 a UNIX host for processing."  The future-work section proposes reading the
-RAMs back *through* the EPROM window instead.  All three paths are
-modelled:
+RAMs back *through* the EPROM window instead.  Both are modelled: the
+MPF capture format below is the interchange form, and
+:class:`EpromReadback` is the future-work mode, each RAM bank multiplexed
+into the EPROM address space and read as if it were an EPROM.
 
-* :func:`dump_records` / :func:`decode_record_columns` — the canonical
-  5-byte big-endian record stream (16-bit tag, 24-bit time);
-* :func:`write_capture_file` / :func:`read_capture` — the stream with a
-  self-identifying header, the on-disk interchange format;
-* :class:`EpromReadback` — the future-work mode: each RAM bank is
-  multiplexed into the EPROM address space and read as if it were an
-  EPROM, bank by bank.
-
-Two header versions exist on disk.  **MPF1** is magic + u32 record count
-and nothing else: a file that crossed hosts lost the counter geometry and
-the overflow-LED state, so a non-stock capture decoded with the wrong wrap
-mask.  **MPF2** is self-describing — counter width and rate, the overflow
-flag, a free-form label and a CRC32 of the record stream — and carries its
-own header size so future fields can append without breaking old readers::
+Records are the canonical 5-byte big-endian stream (16-bit tag, 24-bit
+time).  Two header versions exist on disk.  **MPF1** is magic + u32
+record count and nothing else: a file that crossed hosts lost the counter
+geometry and the overflow-LED state, so a non-stock capture decoded with
+the wrong wrap mask.  **MPF2** is self-describing — counter width and
+rate, the overflow flag, a free-form label and a CRC32 of the record
+stream — and carries its own header size so future fields can append
+without breaking old readers::
 
     MPF1                          MPF2
     0  4  magic "MPF1"            0   4  magic "MPF2"
@@ -36,32 +32,39 @@ own header size so future fields can append without breaking old readers::
 
 An **open-ended** MPF2 stream (flags bit 1) is the live-profiling wire
 form: the producer does not know the record count up front and the sink
-(pipe, socket, FIFO) cannot seek for a backpatch, so the header carries
-the sentinel count ``0xFFFFFFFF`` and a zero CRC, and the authoritative
-count and CRC32 arrive in a 12-byte end-of-stream trailer instead::
+(pipe, socket, FIFO) cannot seek back to the header, so the header
+carries the sentinel count ``0xFFFFFFFF`` and a zero CRC, and the
+authoritative count and CRC32 arrive in a 12-byte end-of-stream trailer
+instead::
 
     H + 5n      4  trailer magic "MPFT"
     H + 5n + 4  4  record count n
     H + 5n + 8  4  CRC32 of the record stream
 
-Readers hold back the last 12 bytes while records stream — a consumer
-can tail a capture before the producer finishes — and verify the trailer
-at end of stream exactly as they verify a closed header.  A missing or
-corrupt trailer raises :class:`CaptureFormatError` (the capture was cut
-mid-stream); the salvaging decoder reports it as a ``missing-trailer``
-defect and still recovers every whole record.
-
 All multi-byte fields are big-endian.  Writers default to MPF2; every
-reader accepts both versions transparently.  For files that met a real
-transfer path (pipes, truncation, flipped bits) there is a salvaging
-decoder, :func:`salvage_capture_stream`, that resynchronises instead of
-throwing and reports what it had to tolerate as :class:`CaptureDefect`s.
+reader accepts both versions transparently.  The format has one of
+each part:
 
-One decode engine serves every format above: it shears a record blob
-into parallel tag/time arrays with constant-time-per-byte slice
-assignments (:func:`decode_record_columns`).  The per-record walker it
-replaced lives on in ``tests/reference_decode.py`` as the differential
-oracle (``tests/test_decode_differential.py``).
+* **one reader**, :func:`open_capture_columns`: the header, then the
+  records as columnar batches (:func:`decode_record_columns` shears each
+  chunk into tag/time arrays with C-level slice assignments), then the
+  end-of-stream framing check.  It holds back the last 12 bytes of an
+  open-ended stream, so a consumer can tail a capture while the producer
+  still writes.  :func:`read_capture`, :func:`iter_capture_columns` and
+  :func:`read_capture_meta` are thin calls into it;
+* **one salvager**, :func:`salvage_capture`: the same header read and
+  framing check over a path, an open stream or ``bytes``, with a fault
+  policy that records a :class:`CaptureDefect` where the reader raises
+  :class:`CaptureFormatError`, and decodes every whole record that
+  survived;
+* **one writer core**, a header encoder and a record packer
+  (:func:`dump_records`), under :func:`write_capture_file`,
+  :func:`write_capture_stream` and :class:`CaptureStreamWriter`.
+
+The header layout is read in one function (``_read_header``) and the
+trailer, count and CRC are checked in one (``_check_framing``).  The
+per-record walker the columnar decode replaced lives on in
+``tests/reference_decode.py`` as the differential oracle.
 """
 
 from __future__ import annotations
@@ -71,13 +74,24 @@ import contextlib
 import dataclasses
 import io
 import os
+import struct
 import sys
 import threading
 import warnings
 import zlib
 from array import array
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    BinaryIO,
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.profiler.ram import TIME_BITS, RawRecord, TraceRam
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -94,15 +108,15 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 class CaptureFormatError(ValueError):
     """A capture file or record stream violates the MPF1/MPF2 format.
 
-    The one documented exception type every reader raises for *content*
+    The one documented exception type the reader raises for *content*
     faults — bad magic, truncated header, ragged record stream, a header
     count that disagrees with the stream, a CRC mismatch — whether the
-    capture is read in batch (:func:`read_capture`), streamed
-    (:func:`iter_capture_columns`) or probed
-    for its header only (:func:`read_capture_meta`).  It subclasses
-    :class:`ValueError` so pre-existing callers keep working.
-    ``OSError`` from the underlying file passes through unchanged, and
-    the salvaging decoder never raises on content at all.
+    capture is read whole (:func:`read_capture`), in batches
+    (:func:`open_capture_columns`) or probed for its header only
+    (:func:`read_capture_meta`).  It subclasses :class:`ValueError` so
+    pre-existing callers keep working.  ``OSError`` from the underlying
+    file passes through unchanged, and the salvager never raises on
+    content at all.
     """
 
 #: Capture-file magic: "McRae Profiler Format", versions 1 and 2.
@@ -112,12 +126,10 @@ MAGIC_V2 = b"MPF2"
 #: MPF1 header: magic + u32 count.
 V1_HEADER_BYTES = 8
 
-#: MPF2 header without the label: everything up to the label bytes.
-V2_FIXED_HEADER_BYTES = 22
-
-#: Byte offsets of the backpatched MPF2 fields (count, CRC32).
-_V2_COUNT_OFFSET = 6
-_V2_CRC_OFFSET = 16
+#: The MPF2 header up to the label: magic, header size, count, counter
+#: width, counter rate, flags, CRC32, label length (module docstring).
+_V2_FIXED = struct.Struct(">4sHIBIBIH")
+V2_FIXED_HEADER_BYTES = _V2_FIXED.size
 
 #: The header count field is 32-bit in both versions.
 MAX_RECORDS = 1 << 32
@@ -138,7 +150,8 @@ TRAILER_BYTES = 12
 STOCK_WIDTH_BITS = TIME_BITS
 STOCK_RATE_HZ = 1_000_000
 
-#: Records per read() in the streaming readers (8192 records = 40 KiB).
+#: Records per read() in the reader and per write() in the writers
+#: (8192 records = 40 KiB).
 DEFAULT_CHUNK_RECORDS = 8192
 
 
@@ -170,7 +183,7 @@ class CaptureMeta:
 
 @dataclasses.dataclass(frozen=True)
 class CaptureDefect:
-    """One fault the salvaging decoder tolerated.
+    """One fault the salvager tolerated.
 
     ``kind`` is a stable machine-readable string (``bad-magic``,
     ``truncated-header``, ``bad-header-field``, ``partial-record``,
@@ -186,7 +199,7 @@ class CaptureDefect:
 
 @dataclasses.dataclass
 class SalvageResult:
-    """Everything the salvaging decoder recovered from one file."""
+    """Everything the salvager recovered from one file."""
 
     records: list[RawRecord]
     defects: list[CaptureDefect]
@@ -194,11 +207,16 @@ class SalvageResult:
 
 
 def dump_records(records: Iterable[RawRecord]) -> bytes:
-    """Serialise *records* to the raw 5-byte-per-record stream."""
-    out = io.BytesIO()
-    for record in records:
-        out.write(record.pack())
-    return out.getvalue()
+    """The record packer: *records* as the raw 5-byte-per-record stream."""
+    return b"".join(map(RawRecord.pack, records))
+
+
+def _record_blobs(records: Iterable[RawRecord]) -> Iterator[bytes]:
+    """:func:`dump_records` in slices of :data:`DEFAULT_CHUNK_RECORDS`
+    records, for writers that stream an iterator of unknown length."""
+    iterator = iter(records)
+    while blob := dump_records(islice(iterator, DEFAULT_CHUNK_RECORDS)):
+        yield blob
 
 
 # -- the columnar record decoder ---------------------------------------------
@@ -288,42 +306,14 @@ def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordCo
     return RecordColumns(tags=tags, times=times)
 
 
-def iter_record_columns(
-    stream: BinaryIO, *, chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> Iterator[RecordColumns]:
-    """Decode a raw record stream as columnar batches, chunk by chunk.
-
-    Each yielded :class:`RecordColumns` holds up to ``chunk_records``
-    records decoded in one shot, so a multi-gigabyte capture decodes in
-    O(chunk) memory with no per-record Python work at all.  Raises
-    :class:`CaptureFormatError` on a trailing partial record.
-    """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    chunk_bytes = chunk_records * RECORD_BYTES
-    leftover = b""
-    telemetry = _TELEMETRY
-    while True:
-        blob = stream.read(chunk_bytes)
-        if not blob:
-            break
-        blob = leftover + blob
-        usable = len(blob) - (len(blob) % RECORD_BYTES)
-        if usable:
-            if telemetry.enabled:
-                with telemetry.span(
-                    "upload.decode_chunk", records=usable // RECORD_BYTES
-                ):
-                    columns = decode_record_columns(blob[:usable])
-                telemetry.count("upload.records.decoded", len(columns))
-            else:
-                columns = decode_record_columns(blob[:usable])
-            yield columns
-        leftover = blob[usable:]
-    if leftover:
-        raise CaptureFormatError(
-            f"record stream ends with a partial {len(leftover)}-byte record"
-        )
+def _decode_chunk(blob: bytes) -> RecordColumns:
+    """:func:`decode_record_columns` inside the reader's telemetry span."""
+    if not _TELEMETRY.enabled:
+        return decode_record_columns(blob)
+    with _TELEMETRY.span("upload.decode_chunk", records=len(blob) // RECORD_BYTES):
+        columns = decode_record_columns(blob)
+    _TELEMETRY.count("upload.records.decoded", len(columns))
+    return columns
 
 
 def _read_exact(stream: BinaryIO, size: int) -> bytes:
@@ -354,137 +344,263 @@ def _check_count(count: int) -> None:
         )
 
 
-def _encode_v2_header(
-    count: int,
-    counter_width_bits: int,
-    counter_rate_hz: int,
-    overflowed: bool,
-    label: str,
-    crc32: int,
-    streamed: bool = False,
-) -> bytes:
-    if not (1 <= counter_width_bits <= TIME_BITS):
-        raise ValueError(
-            f"counter width {counter_width_bits} outside 1..{TIME_BITS} bits"
-        )
-    if not (1 <= counter_rate_hz < 1 << 32):
-        raise ValueError(f"counter rate {counter_rate_hz} Hz does not fit in 32 bits")
-    label_bytes = label.encode("utf-8")
-    if len(label_bytes) > 0xFFFF:
-        raise ValueError(f"label is {len(label_bytes)} bytes; the limit is 65535")
-    header_size = V2_FIXED_HEADER_BYTES + len(label_bytes)
-    return (
-        MAGIC_V2
-        + header_size.to_bytes(2, "big")
-        + count.to_bytes(4, "big")
-        + counter_width_bits.to_bytes(1, "big")
-        + counter_rate_hz.to_bytes(4, "big")
-        + ((1 if overflowed else 0) | (2 if streamed else 0)).to_bytes(1, "big")
-        + crc32.to_bytes(4, "big")
-        + len(label_bytes).to_bytes(2, "big")
-        + label_bytes
-    )
+# -- the fault policy ----------------------------------------------------------
 
 
-def _decode_v2_body(body: bytes) -> CaptureMeta:
-    """Decode the MPF2 header bytes that follow magic + header size."""
-    count = int.from_bytes(body[0:4], "big")
-    width = body[4]
-    rate = int.from_bytes(body[5:9], "big")
-    flags = body[9]
-    crc32 = int.from_bytes(body[10:14], "big")
-    label_len = int.from_bytes(body[14:16], "big")
-    if not (1 <= width <= TIME_BITS):
-        raise CaptureFormatError(
-            f"MPF2 header counter width {width} outside 1..{TIME_BITS}"
+def _fault(
+    defects: Optional[list[CaptureDefect]],
+    kind: str,
+    offset: int,
+    strict: str,
+    salvaged: str,
+) -> None:
+    """One content fault, under the caller's fault policy.
+
+    With no *defects* list (the reader) it raises
+    :class:`CaptureFormatError` saying *strict*; otherwise (the
+    salvager) it records a :class:`CaptureDefect` saying *salvaged* —
+    the fault and what the salvager does about it — and returns, so
+    decoding carries on.
+    """
+    if defects is None:
+        raise CaptureFormatError(strict)
+    defects.append(CaptureDefect(kind, salvaged, offset=offset))
+
+
+def _fuzzy_version(blob: bytes) -> Optional[int]:
+    """Best-effort version from a damaged magic: >= 3 of 4 bytes agree.
+
+    A flip in the version byte itself (``b"MPF?"``) matches both magics
+    equally, so ties are broken by framing plausibility: the version
+    whose header makes the record stream come out whole wins.
+    """
+    magic = blob[: len(MAGIC)]
+    candidates = [
+        version
+        for candidate, version in ((MAGIC_V2, 2), (MAGIC, 1))
+        if sum(a == b for a, b in zip(magic, candidate)) >= 3
+    ]
+    if len(candidates) != 1:
+        for version in candidates:
+            if version == 1 and len(blob) >= V1_HEADER_BYTES:
+                count = int.from_bytes(blob[4:8], "big")
+                if count * RECORD_BYTES == len(blob) - V1_HEADER_BYTES:
+                    return 1
+            if version == 2 and len(blob) >= V2_FIXED_HEADER_BYTES:
+                _, header_size, count, *_ = _V2_FIXED.unpack_from(blob)
+                if (
+                    V2_FIXED_HEADER_BYTES <= header_size <= len(blob)
+                    and count * RECORD_BYTES == len(blob) - header_size
+                ):
+                    return 2
+    return candidates[0] if candidates else None
+
+
+# -- the header ----------------------------------------------------------------
+
+
+def _read_header(
+    stream: BinaryIO, defects: Optional[list[CaptureDefect]] = None
+) -> tuple[CaptureMeta, Optional[int]]:
+    """Read either version's header off *stream*: ``(meta, data offset)``.
+
+    The one reader of the header layout.  Short reads are retried
+    (:func:`_read_exact`), so pipe and socket sources parse exactly like
+    regular files, and a short file is reported as truncation rather than
+    as a magic mismatch.  Faults follow the policy of :func:`_fault`: the
+    reader raises on the first; the salvager (which passes *defects* and
+    an in-memory *stream*) resynchronises a damaged magic, assumes stock
+    values for a bad counter field and a label-less header for a bad
+    size, and gets a ``None`` data offset when no record can be located.
+    """
+    magic = _read_exact(stream, len(MAGIC))
+    if len(magic) < len(MAGIC):
+        _fault(
+            defects, "truncated-header", 0,
+            f"capture file header truncated: {len(magic)} byte(s) is shorter "
+            f"than the {len(MAGIC)}-byte magic",
+            f"file is {len(magic)} byte(s), shorter than any capture magic",
         )
+        return CaptureMeta(version=0, count=0), None
+    version = {MAGIC: 1, MAGIC_V2: 2}.get(magic)
+    if version is None:
+        if defects is None:
+            raise CaptureFormatError("not a Profiler capture file (bad magic)")
+        version = _fuzzy_version(stream.getvalue())  # type: ignore[attr-defined]
+        if version is None:
+            defects.append(CaptureDefect(
+                "bad-magic", f"magic {magic!r} matches no known capture format", 0
+            ))
+            return CaptureMeta(version=0, count=0), None
+        defects.append(CaptureDefect(
+            "bad-magic", f"magic {magic!r} is corrupt; resynchronised as MPF{version}", 0
+        ))
+    if version == 1:
+        head = magic + _read_exact(stream, V1_HEADER_BYTES - len(MAGIC))
+        if len(head) < V1_HEADER_BYTES:
+            _fault(
+                defects, "truncated-header", len(head),
+                "capture file header truncated",
+                f"MPF1 header needs {V1_HEADER_BYTES} bytes, file holds {len(head)}",
+            )
+            return CaptureMeta(version=1, count=0), None
+        return CaptureMeta(version=1, count=int.from_bytes(head[4:], "big")), len(head)
+    head = magic + _read_exact(stream, V2_FIXED_HEADER_BYTES - len(MAGIC))
+    if len(head) < V2_FIXED_HEADER_BYTES:
+        _fault(
+            defects, "truncated-header", len(head),
+            "capture file header truncated",
+            f"MPF2 header needs at least {V2_FIXED_HEADER_BYTES} bytes, file "
+            f"holds {len(head)}",
+        )
+        return CaptureMeta(version=2, count=0), None
+    _, header_size, count, width, rate, flags, crc32, label_len = _V2_FIXED.unpack(head)
+    # The label, plus any header fields a later format version appends.
+    extra = b""
+    clamped = True
+    if header_size < V2_FIXED_HEADER_BYTES:
+        _fault(
+            defects, "bad-header-field", 4,
+            f"MPF2 header claims {header_size} bytes, below the "
+            f"{V2_FIXED_HEADER_BYTES}-byte minimum",
+            f"header size {header_size} is below the {V2_FIXED_HEADER_BYTES}-byte "
+            "minimum; assuming a label-less header",
+        )
+    else:
+        extra = _read_exact(stream, header_size - V2_FIXED_HEADER_BYTES)
+        clamped = len(head) + len(extra) < header_size
+        if clamped:
+            _fault(
+                defects, "truncated-header", len(head) + len(extra),
+                "capture file header truncated",
+                f"header claims {header_size} bytes but the file holds "
+                f"{len(head) + len(extra)}; treating everything past the fixed "
+                "header as records",
+            )
+            extra = b""
+    if not 1 <= width <= TIME_BITS:
+        _fault(
+            defects, "bad-header-field", 10,
+            f"MPF2 header counter width {width} outside 1..{TIME_BITS}",
+            f"counter width {width} outside 1..{TIME_BITS} bits; assuming the "
+            f"stock {STOCK_WIDTH_BITS}",
+        )
+        width = STOCK_WIDTH_BITS
     if rate == 0:
-        raise CaptureFormatError("MPF2 header counter rate is zero")
-    if 16 + label_len > len(body):
-        raise CaptureFormatError(
-            f"MPF2 header label length {label_len} overruns the "
-            f"{len(body) + 6}-byte header"
+        _fault(
+            defects, "bad-header-field", 11,
+            "MPF2 header counter rate is zero",
+            f"counter rate is zero; assuming the stock {STOCK_RATE_HZ} Hz",
         )
-    label = body[16 : 16 + label_len].decode("utf-8", errors="replace")
+        rate = STOCK_RATE_HZ
+    # A label shorter than the header leaves room for future fields, which
+    # the reader skips; the salvager cannot tell them from a damaged length
+    # field, so it reports the disagreement and keeps the whole header.
+    if not clamped and label_len != len(extra):
+        if label_len > len(extra) or defects is not None:
+            _fault(
+                defects, "bad-header-field", 20,
+                f"MPF2 header label length {label_len} overruns the "
+                f"{header_size}-byte header",
+                f"label length {label_len} disagrees with header size "
+                f"{header_size}; trusting the header size",
+            )
+    label = extra if defects is not None else extra[:label_len]
     streamed = bool(flags & 2)
-    return CaptureMeta(
+    meta = CaptureMeta(
         version=2,
         count=count,
         counter_width_bits=width,
         counter_rate_hz=rate,
         overflowed=bool(flags & 1),
-        label=label,
+        label=label.decode("utf-8", errors="replace"),
         # An open-ended header's count/CRC fields are placeholders: the
         # trailer is authoritative, so the header CRC is not exposed.
         crc32=None if streamed else crc32,
         streamed=streamed,
     )
+    return meta, V2_FIXED_HEADER_BYTES + len(extra)
 
 
-def encode_stream_trailer(count: int, crc32: int) -> bytes:
-    """Serialise the end-of-stream trailer of an open-ended MPF2 stream."""
-    _check_count(count)
-    return TRAILER_MAGIC + count.to_bytes(4, "big") + crc32.to_bytes(4, "big")
+# -- the framing check -----------------------------------------------------------
 
 
-def decode_stream_trailer(blob: bytes) -> tuple[int, int]:
-    """Decode an end-of-stream trailer: ``(record count, CRC32)``.
+def _check_framing(
+    meta: CaptureMeta,
+    tail: bytes,
+    seen: int,
+    crc: int,
+    data_offset: int,
+    defects: Optional[list[CaptureDefect]] = None,
+) -> tuple[CaptureMeta, bytes]:
+    """Check the end of a record stream: trailer, record count, CRC32.
 
-    Raises :class:`CaptureFormatError` when *blob* is not a whole, intact
-    trailer — the signature every reader uses to report a capture that
-    was cut before its producer closed the stream.
+    *tail* is what follows the *seen* whole records (CRC32 *crc*) decoded
+    after the header at *data_offset*.  An open-ended stream's trailer is
+    split off the tail and its count and CRC adopted; then a partial
+    record, a count that disagrees with the header or trailer, and a CRC
+    mismatch are faults, in that order, under the :func:`_fault` policy.
+    Returns the meta with the settled count and CRC, and the whole
+    records left in *tail* — only ever non-empty when the salvager reads
+    a stream whose trailer is missing, so its last bytes are records.
     """
-    if len(blob) < TRAILER_BYTES:
-        raise CaptureFormatError(
-            f"open-ended capture ends without an end-of-stream trailer "
-            f"({len(blob)} byte(s) remain, a trailer is {TRAILER_BYTES}): "
-            "the stream was cut before the producer closed it"
-        )
-    if blob[: len(TRAILER_MAGIC)] != TRAILER_MAGIC:
-        raise CaptureFormatError(
-            f"open-ended capture trailer magic {blob[:4]!r} is not "
-            f"{TRAILER_MAGIC!r}: the stream was cut or corrupted"
-        )
-    count = int.from_bytes(blob[4:8], "big")
-    crc32 = int.from_bytes(blob[8:12], "big")
-    return count, crc32
-
-
-def _read_header(stream: BinaryIO) -> CaptureMeta:
-    """Read and validate either version's header off *stream*.
-
-    Every content fault — short file, bad magic, lying header fields —
-    raises :class:`CaptureFormatError`, the same type from every reader,
-    with truncation reported as truncation rather than as a magic
-    mismatch.  Short reads are retried (:func:`_read_exact`), so pipe
-    and socket sources parse exactly like regular files.
-    """
-    magic = _read_exact(stream, len(MAGIC))
-    if len(magic) < len(MAGIC):
-        raise CaptureFormatError(
-            f"capture file header truncated: {len(magic)} byte(s) is "
-            f"shorter than the {len(MAGIC)}-byte magic"
-        )
-    if magic == MAGIC:
-        rest = _read_exact(stream, 4)
-        if len(rest) < 4:
-            raise CaptureFormatError("capture file header truncated")
-        return CaptureMeta(version=1, count=int.from_bytes(rest, "big"))
-    if magic == MAGIC_V2:
-        size_blob = _read_exact(stream, 2)
-        if len(size_blob) < 2:
-            raise CaptureFormatError("capture file header truncated")
-        header_size = int.from_bytes(size_blob, "big")
-        if header_size < V2_FIXED_HEADER_BYTES:
-            raise CaptureFormatError(
-                f"MPF2 header claims {header_size} bytes, below the "
-                f"{V2_FIXED_HEADER_BYTES}-byte minimum"
+    end = data_offset + seen * RECORD_BYTES + len(tail)
+    declared, expected, where, at = meta.count, meta.crc32, "header", len(MAGIC)
+    if meta.streamed:
+        trailer = tail[-TRAILER_BYTES:]
+        if len(trailer) == TRAILER_BYTES and trailer.startswith(TRAILER_MAGIC):
+            tail = tail[:-TRAILER_BYTES]
+            end -= TRAILER_BYTES
+            declared = int.from_bytes(trailer[4:8], "big")
+            expected = int.from_bytes(trailer[8:], "big")
+            where, at = "trailer", end
+        else:
+            _fault(
+                defects, "missing-trailer", end,
+                f"open-ended capture trailer magic {trailer[:4]!r} is not "
+                f"{TRAILER_MAGIC!r}: the stream was cut or corrupted"
+                if len(trailer) == TRAILER_BYTES else
+                "open-ended capture ends without an end-of-stream trailer "
+                f"({len(trailer)} byte(s) remain, a trailer is {TRAILER_BYTES}): "
+                "the stream was cut before the producer closed it",
+                "open-ended capture ends without an end-of-stream trailer: the "
+                "stream was cut before the producer closed it",
             )
-        body = _read_exact(stream, header_size - 6)
-        if len(body) < header_size - 6:
-            raise CaptureFormatError("capture file header truncated")
-        return _decode_v2_body(body)
-    raise CaptureFormatError("not a Profiler capture file (bad magic)")
+            declared = seen + len(tail) // RECORD_BYTES
+    whole, partial = divmod(len(tail), RECORD_BYTES)
+    seen += whole
+    if partial:
+        _fault(
+            defects, "partial-record", end - partial,
+            f"record stream length {end - data_offset} is not a multiple of "
+            f"{RECORD_BYTES}",
+            f"{partial} trailing byte(s) are not a whole record; dropped",
+        )
+    if seen != declared:
+        _fault(
+            defects, "count-mismatch", at,
+            f"capture file {where} claims {declared} records but stream holds "
+            f"{seen}",
+            f"{where} claims {declared} records but the stream holds {seen}",
+        )
+    elif expected is not None and not partial and crc != expected:
+        # Count and framing agree, so a CRC mismatch isolates payload
+        # corruption (a truncated stream would mismatch trivially).
+        _TELEMETRY.count("upload.crc.failures")
+        mismatch = (
+            f"record stream CRC32 {crc:#010x} disagrees with the {where}'s "
+            f"{expected:#010x}"
+        )
+        _fault(
+            defects, "crc-mismatch", data_offset,
+            f"{mismatch}: the payload is corrupt",
+            f"{mismatch}: at least one record byte is corrupt",
+        )
+    meta = dataclasses.replace(meta, count=seen, crc32=expected)
+    return meta, tail[: whole * RECORD_BYTES]
+
+
+# -- the reader ------------------------------------------------------------------
 
 
 def _open_context(
@@ -495,73 +611,25 @@ def _open_context(
     return open(Path(path_or_file), mode)  # type: ignore[arg-type]
 
 
-def iter_capture_columns(
-    path_or_file: Union[str, Path, BinaryIO],
-    *,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    verify_count: bool = True,
-    verify_crc: bool = True,
-) -> Iterator[RecordColumns]:
-    """Stream a capture file as columnar record batches.
-
-    Accepts both MPF1 and MPF2 headers, yields :class:`RecordColumns`
-    batches of up to ``chunk_records`` records, accumulates the MPF2
-    record-stream CRC32 *per chunk* (one :func:`zlib.crc32` call per
-    read, never per record) and verifies count and CRC at end of stream:
-    a mismatch raises :class:`CaptureFormatError` after every whole batch
-    was yielded.  ``verify_count``/``verify_crc`` switch those checks off.
-
-    Open-ended streams (flags bit 1) work off a live pipe/socket: the
-    reader holds back the last :data:`TRAILER_BYTES` bytes so records
-    flow while the producer is still writing, then verifies the trailer's
-    count and CRC32 at end of stream — a cut stream raises instead of
-    silently under-reporting.
-    """
-    with open_capture_columns(
-        path_or_file,
-        chunk_records=chunk_records,
-        verify_count=verify_count,
-        verify_crc=verify_crc,
-    ) as (_, batches):
-        yield from batches
-
-
-@contextlib.contextmanager
-def open_capture_columns(
-    path_or_file: Union[str, Path, BinaryIO],
-    *,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    verify_count: bool = True,
-    verify_crc: bool = True,
-) -> Iterator[tuple[CaptureMeta, Iterator[RecordColumns]]]:
-    """Read the header, then hand back ``(meta, batches)``.
-
-    :func:`iter_capture_columns` for a consumer that must know the
-    header before the first batch — the counter width a fold unwraps
-    with — on a source it cannot read twice (a pipe or socket).
-    """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    with _open_context(path_or_file, "rb") as stream:
-        meta = _read_header(stream)
-        yield meta, _iter_columns(
-            stream, meta, chunk_records, verify_count, verify_crc
-        )
-
-
 def _iter_columns(
     stream: BinaryIO,
     meta: CaptureMeta,
+    data_offset: int,
     chunk_records: int,
-    verify_count: bool,
-    verify_crc: bool,
-) -> Iterator[RecordColumns]:
-    """The record batches after *stream*'s header (see
-    :func:`iter_capture_columns`)."""
-    check_crc = verify_crc and (meta.crc32 is not None or meta.streamed)
+    defects: Optional[list[CaptureDefect]] = None,
+) -> Generator[RecordColumns, None, CaptureMeta]:
+    """The record batches after *stream*'s header, then the framing check.
+
+    Reads ``chunk_records`` records per ``read()``, accumulates the
+    CRC32 per chunk (never per record), and holds back the last
+    :data:`TRAILER_BYTES` bytes of an open-ended stream so records flow
+    while the producer still writes.  Every whole batch is yielded
+    before :func:`_check_framing` runs on what is left; the generator
+    returns the meta it settled on.
+    """
     hold_back = TRAILER_BYTES if meta.streamed else 0
+    check_crc = meta.crc32 is not None or meta.streamed
     chunk_bytes = chunk_records * RECORD_BYTES
-    telemetry = _TELEMETRY
     crc = 0
     seen = 0
     leftover = b""
@@ -572,61 +640,84 @@ def _iter_columns(
         blob = leftover + blob
         usable = len(blob) - hold_back
         usable -= usable % RECORD_BYTES
-        if usable > 0:
-            if check_crc:
-                crc = zlib.crc32(blob[:usable], crc)
-            if telemetry.enabled:
-                with telemetry.span(
-                    "upload.decode_chunk", records=usable // RECORD_BYTES
-                ):
-                    columns = decode_record_columns(blob[:usable])
-                telemetry.count("upload.records.decoded", len(columns))
-            else:
-                columns = decode_record_columns(blob[:usable])
-            seen += len(columns)
-            yield columns
-            leftover = blob[usable:]
-        else:
+        if usable <= 0:
             leftover = blob
-    declared = meta.count
-    if meta.streamed:
-        tail = leftover[-TRAILER_BYTES:] if len(leftover) >= TRAILER_BYTES else leftover
-        leftover = leftover[: len(leftover) - len(tail)]
-        if leftover:
-            if len(leftover) % RECORD_BYTES:
-                raise CaptureFormatError(
-                    f"record stream ends with a partial "
-                    f"{len(leftover) % RECORD_BYTES}-byte record"
-                )
-            if check_crc:
-                crc = zlib.crc32(leftover, crc)
-            columns = decode_record_columns(leftover)
-            seen += len(columns)
-            yield columns
-            leftover = b""
-        declared, trailer_crc = decode_stream_trailer(tail)
-        if check_crc and crc != trailer_crc:
-            _TELEMETRY.count("upload.crc.failures")
-            raise CaptureFormatError(
-                f"record stream CRC32 {crc:#010x} disagrees with "
-                f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
-            )
-    if leftover:
-        raise CaptureFormatError(
-            f"record stream ends with a partial {len(leftover)}-byte record"
-        )
-    if verify_count and seen != declared:
-        where = "trailer" if meta.streamed else "header"
-        raise CaptureFormatError(
-            f"capture file {where} claims {declared} records but stream "
-            f"holds {seen}"
-        )
-    if check_crc and not meta.streamed and crc != meta.crc32:
-        _TELEMETRY.count("upload.crc.failures")
-        raise CaptureFormatError(
-            f"record stream CRC32 {crc:#010x} disagrees with "
-            f"the header's {meta.crc32:#010x}: the payload is corrupt"
-        )
+            continue
+        if check_crc:
+            crc = zlib.crc32(blob[:usable], crc)
+        columns = _decode_chunk(blob[:usable])
+        seen += len(columns)
+        yield columns
+        leftover = blob[usable:]
+    meta, rest = _check_framing(meta, leftover, seen, crc, data_offset, defects)
+    if rest:
+        yield _decode_chunk(rest)
+    return meta
+
+
+@contextlib.contextmanager
+def open_capture_columns(
+    path_or_file: Union[str, Path, BinaryIO],
+    *,
+    chunk_records: int = DEFAULT_CHUNK_RECORDS,
+) -> Iterator[tuple[CaptureMeta, Generator[RecordColumns, None, CaptureMeta]]]:
+    """The capture reader: read the header, then hand back ``(meta, batches)``.
+
+    Opens *path_or_file* once and reads the header once, so a consumer
+    learns the counter geometry before the first batch even on a source
+    it cannot read twice (a pipe or socket).  ``batches`` yields
+    :class:`RecordColumns` of up to ``chunk_records`` records and, after
+    the last whole batch, checks the framing: a partial record, a count
+    or a CRC32 that disagrees with the header — or, for an open-ended
+    stream, with its trailer; a cut stream has none — raises
+    :class:`CaptureFormatError`.  Exhausted, ``batches`` returns the meta
+    with the trailer's count and CRC adopted.
+    """
+    if chunk_records <= 0:
+        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
+    with _open_context(path_or_file, "rb") as stream:
+        meta, data_offset = _read_header(stream)
+        yield meta, _iter_columns(stream, meta, data_offset or 0, chunk_records)
+
+
+def iter_capture_columns(
+    path_or_file: Union[str, Path, BinaryIO],
+    *,
+    chunk_records: int = DEFAULT_CHUNK_RECORDS,
+) -> Iterator[RecordColumns]:
+    """The batches of :func:`open_capture_columns`, header unseen."""
+    with open_capture_columns(path_or_file, chunk_records=chunk_records) as (
+        _,
+        batches,
+    ):
+        yield from batches
+
+
+def _collect(
+    batches: Generator[RecordColumns, None, CaptureMeta],
+) -> tuple[list[RawRecord], CaptureMeta]:
+    """Drain *batches* into records, with the meta the generator returns."""
+    records: list[RawRecord] = []
+    while True:
+        try:
+            batch = next(batches)
+        except StopIteration as end:
+            return records, end.value
+        records += batch.to_records()
+
+
+def read_capture(
+    path_or_file: Union[str, Path, BinaryIO],
+) -> tuple[list[RawRecord], CaptureMeta]:
+    """Read a whole capture of either version: records plus header metadata.
+
+    :func:`open_capture_columns` drained into :class:`RawRecord` objects;
+    an open-ended stream's meta carries its trailer's count and CRC.
+    Strict: every fault raises :class:`CaptureFormatError`.  Use
+    :func:`salvage_capture` when the file may be damaged.
+    """
+    with open_capture_columns(path_or_file) as (_, batches):
+        return _collect(batches)
 
 
 def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
@@ -654,7 +745,7 @@ def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
         except (AttributeError, OSError, ValueError):
             restore = None
         try:
-            return _read_header(stream)
+            return _read_header(stream)[0]
         finally:
             if restore is not None:
                 stream.seek(restore)
@@ -663,11 +754,10 @@ def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
 # -- the header-probe cache --------------------------------------------------
 #
 # Fleet-scale ingestion probes the same headers over and over: the planner
-# reads every header to order the corpus, the decode stage reads it again
-# for the counter geometry, and a serve-mode rescan probes the whole inbox
-# each poll.  A header never changes without the file changing, so a tiny
-# (mtime_ns, size)-validated cache turns thousands of re-probes into one
-# stat() each.
+# reads every header to order the corpus, and a serve-mode rescan probes
+# the whole inbox each poll.  A header never changes without the file
+# changing, so a tiny (mtime_ns, size)-validated cache turns thousands of
+# re-probes into one stat() each.
 
 #: Maximum entries the header-probe cache retains (LRU beyond this).
 META_CACHE_SIZE = 4096
@@ -721,6 +811,102 @@ def cached_capture_meta(path: Union[str, Path]) -> CaptureMeta:
     return meta
 
 
+# -- the salvager ------------------------------------------------------------------
+
+
+def salvage_capture(
+    source: Union[str, Path, BinaryIO, bytes],
+) -> SalvageResult:
+    """Decode a possibly damaged capture, resynchronising on faults.
+
+    *source* is a path, an open stream (read to its end) or the file's
+    bytes.  The header read and framing check are the reader's, under
+    the recording fault policy: never raises on content, every fault
+    becomes a :class:`CaptureDefect` and decoding continues with the most
+    plausible interpretation.  A single flipped magic bit, a truncated
+    tail, a lying record count or a corrupt payload all still yield
+    every recoverable record (``tests/test_salvage_fuzz.py`` pins the
+    recovery, defect by defect).  ``meta.count`` is the number of
+    records recovered.
+    """
+    if isinstance(source, (bytes, bytearray)):
+        blob = bytes(source)
+    elif hasattr(source, "read"):
+        blob = b"".join(iter(lambda: source.read(1 << 20), b""))  # type: ignore[union-attr]
+    else:
+        blob = Path(source).read_bytes()  # type: ignore[arg-type]
+    stream = io.BytesIO(blob)
+    defects: list[CaptureDefect] = []
+    meta, data_offset = _read_header(stream, defects)
+    records: list[RawRecord] = []
+    if data_offset is not None:
+        stream.seek(data_offset)
+        batches = _iter_columns(
+            stream, meta, data_offset, DEFAULT_CHUNK_RECORDS, defects
+        )
+        records, meta = _collect(batches)
+    if _TELEMETRY.enabled:
+        _TELEMETRY.count("upload.records.salvaged", len(records))
+        for defect in defects:
+            _TELEMETRY.count("upload.salvage.defects", kind=defect.kind)
+    return SalvageResult(records, defects, meta)
+
+
+# -- the writer ----------------------------------------------------------------------
+
+
+def _header_encoder(
+    version: int,
+    counter_width_bits: int,
+    counter_rate_hz: int,
+    overflowed: bool,
+    label: str,
+    *,
+    streamed: bool = False,
+) -> Callable[[int, int], bytes]:
+    """The header encoder: check the metadata once, then encode
+    ``(record count, CRC32)`` into a header of *version*.
+
+    MPF1 keeps only the count, and warns when that drops non-stock
+    metadata.  Every header an encoder returns has the same length, so a
+    seekable writer can put a placeholder down first and re-encode it in
+    place once the count and CRC are known.
+    """
+    if version == 1:
+        if (counter_width_bits, counter_rate_hz, overflowed, label) != (
+            STOCK_WIDTH_BITS, STOCK_RATE_HZ, False, ""
+        ):
+            warnings.warn(
+                "MPF1 cannot carry capture metadata: counter width/rate, the "
+                "overflow flag and the label are dropped — write version=2 to "
+                "keep them",
+                CaptureMetadataWarning,
+                stacklevel=3,
+            )
+        return lambda count, crc32: MAGIC + count.to_bytes(4, "big")
+    if version != 2:
+        raise ValueError(f"unknown capture format version {version}")
+    if not (1 <= counter_width_bits <= TIME_BITS):
+        raise ValueError(
+            f"counter width {counter_width_bits} outside 1..{TIME_BITS} bits"
+        )
+    if not (1 <= counter_rate_hz < 1 << 32):
+        raise ValueError(f"counter rate {counter_rate_hz} Hz does not fit in 32 bits")
+    label_bytes = label.encode("utf-8")
+    limit = 0xFFFF - V2_FIXED_HEADER_BYTES
+    if len(label_bytes) > limit:
+        raise ValueError(f"label is {len(label_bytes)} bytes; the limit is {limit}")
+    flags = (1 if overflowed else 0) | (2 if streamed else 0)
+
+    def encode(count: int, crc32: int) -> bytes:
+        return _V2_FIXED.pack(
+            MAGIC_V2, V2_FIXED_HEADER_BYTES + len(label_bytes), count,
+            counter_width_bits, counter_rate_hz, flags, crc32, len(label_bytes),
+        ) + label_bytes
+
+    return encode
+
+
 class CaptureStreamWriter:
     """Incremental writer of an open-ended MPF2 stream (the live wire form).
 
@@ -729,11 +915,11 @@ class CaptureStreamWriter:
     them — per board drain, per chunk — and the authoritative
     count + CRC32 trailer on :meth:`close`.  Never seeks, so the target
     can be a pipe, socket or FIFO, and a consumer holding the other end
-    (:func:`iter_capture_columns`) decodes records as they land.
+    (:func:`open_capture_columns`) decodes records as they land.
 
     Usable as a context manager; the trailer is written on clean exit
-    only, so an aborted producer leaves a stream the strict readers
-    refuse (and the salvager repairs) rather than one that lies.
+    only, so an aborted producer leaves a stream the reader refuses (and
+    the salvager repairs) rather than one that lies.
     """
 
     def __init__(
@@ -745,21 +931,14 @@ class CaptureStreamWriter:
         overflowed: bool = False,
         label: str = "",
     ) -> None:
+        encode = _header_encoder(
+            2, counter_width_bits, counter_rate_hz, overflowed, label, streamed=True
+        )
         self._stream = stream
         self.count = 0
         self.crc32 = 0
         self.closed = False
-        stream.write(
-            _encode_v2_header(
-                OPEN_COUNT,
-                counter_width_bits,
-                counter_rate_hz,
-                overflowed,
-                label,
-                0,
-                streamed=True,
-            )
-        )
+        stream.write(encode(OPEN_COUNT, 0))
 
     def write_bytes(self, blob: Union[bytes, bytearray, memoryview]) -> int:
         """Append pre-packed record bytes (a multiple of 5); returns count."""
@@ -785,10 +964,8 @@ class CaptureStreamWriter:
 
     def write_records(self, records: Iterable[RawRecord]) -> int:
         """Append *records*; returns how many were written."""
-        buffer = bytearray()
-        for record in records:
-            buffer += record.pack()
-        return self.write_bytes(buffer) if buffer else 0
+        blob = dump_records(records)
+        return self.write_bytes(blob) if blob else 0
 
     def write_columns(self, columns: RecordColumns) -> int:
         """Append a columnar batch; returns how many records were written."""
@@ -802,7 +979,11 @@ class CaptureStreamWriter:
     def close(self) -> int:
         """Write the end-of-stream trailer; returns the final count."""
         if not self.closed:
-            self._stream.write(encode_stream_trailer(self.count, self.crc32))
+            self._stream.write(
+                TRAILER_MAGIC
+                + self.count.to_bytes(4, "big")
+                + self.crc32.to_bytes(4, "big")
+            )
             self.flush()
             self.closed = True
         return self.count
@@ -828,13 +1009,13 @@ def write_capture_stream(
 ) -> int:
     """Write a capture file from a record *iterator* of unknown length.
 
-    Streams records straight to the file and backpatches the header's
-    record count (and, for MPF2, the CRC32) at the end, so captures far
-    larger than memory can be serialised.  Returns the record count.
+    Streams records straight to the file, then re-encodes the header in
+    place with the record count (and, for MPF2, the CRC32), so captures
+    far larger than memory can be serialised.  Returns the record count.
 
     ``open_stream`` selects the open-ended MPF2 wire form (sentinel
     count + end-of-stream trailer, no seeking): ``True`` forces it,
-    ``False`` forces the backpatched header, and ``None`` (the default)
+    ``False`` forces the closed header, and ``None`` (the default)
     picks it automatically when the target cannot seek — so piping an
     MPF2 capture through stdout just works, while MPF1 (which has no
     trailer to carry the count) still rejects non-seekable targets up
@@ -856,85 +1037,40 @@ def write_capture_stream(
             open_stream = not seekable
         if not seekable and not open_stream:
             raise ValueError(
-                "write_capture_stream needs a seekable target to backpatch "
+                "write_capture_stream needs a seekable target to re-encode "
                 "the header's record count; pipe/socket targets cannot seek "
                 "— pass open_stream=True for the trailer-carrying wire "
                 "form, or buffer to a temporary file"
             )
     if open_stream:
-        with _open_context(path_or_file, "wb") as stream:
-            with CaptureStreamWriter(
-                stream,
-                counter_width_bits=counter_width_bits,
-                counter_rate_hz=counter_rate_hz,
-                overflowed=overflowed,
-                label=label,
-            ) as writer:
-                buffer = bytearray()
-                for record in records:
-                    buffer += record.pack()
-                    if len(buffer) >= DEFAULT_CHUNK_RECORDS * RECORD_BYTES:
-                        writer.write_bytes(buffer)
-                        buffer.clear()
-                if buffer:
-                    writer.write_bytes(buffer)
-            return writer.count
+        with _open_context(path_or_file, "wb") as stream, CaptureStreamWriter(
+            stream,
+            counter_width_bits=counter_width_bits,
+            counter_rate_hz=counter_rate_hz,
+            overflowed=overflowed,
+            label=label,
+        ) as writer:
+            for blob in _record_blobs(records):
+                writer.write_bytes(blob)
+        return writer.count
+    encode = _header_encoder(
+        version, counter_width_bits, counter_rate_hz, overflowed, label
+    )
     with _open_context(path_or_file, "wb") as stream:
         base = stream.tell()
-        if version == 1:
-            _warn_v1_metadata_loss(
-                counter_width_bits, counter_rate_hz, overflowed, label
-            )
-            stream.write(MAGIC + b"\x00\x00\x00\x00")
-        else:
-            stream.write(
-                _encode_v2_header(
-                    0, counter_width_bits, counter_rate_hz, overflowed, label, 0
-                )
-            )
+        stream.write(encode(0, 0))
         count = 0
         crc = 0
-        buffer = bytearray()
-        for record in records:
-            _check_count(count + 1)
-            buffer += record.pack()
-            count += 1
-            if len(buffer) >= DEFAULT_CHUNK_RECORDS * RECORD_BYTES:
-                crc = zlib.crc32(buffer, crc)
-                stream.write(bytes(buffer))
-                buffer.clear()
-        if buffer:
-            crc = zlib.crc32(buffer, crc)
-            stream.write(bytes(buffer))
+        for blob in _record_blobs(records):
+            count += len(blob) // RECORD_BYTES
+            _check_count(count)
+            crc = zlib.crc32(blob, crc)
+            stream.write(blob)
         end = stream.tell()
-        if version == 1:
-            stream.seek(base + len(MAGIC))
-            stream.write(count.to_bytes(4, "big"))
-        else:
-            stream.seek(base + _V2_COUNT_OFFSET)
-            stream.write(count.to_bytes(4, "big"))
-            stream.seek(base + _V2_CRC_OFFSET)
-            stream.write(crc.to_bytes(4, "big"))
+        stream.seek(base)
+        stream.write(encode(count, crc))
         stream.seek(end)
     return count
-
-
-def _warn_v1_metadata_loss(
-    counter_width_bits: int, counter_rate_hz: int, overflowed: bool, label: str
-) -> None:
-    if (counter_width_bits, counter_rate_hz, overflowed, label) != (
-        STOCK_WIDTH_BITS,
-        STOCK_RATE_HZ,
-        False,
-        "",
-    ):
-        warnings.warn(
-            "MPF1 cannot carry capture metadata: counter width/rate, the "
-            "overflow flag and the label are dropped — write version=2 to "
-            "keep them",
-            CaptureMetadataWarning,
-            stacklevel=3,
-        )
 
 
 def write_capture_file(
@@ -947,377 +1083,21 @@ def write_capture_file(
     overflowed: bool = False,
     label: str = "",
 ) -> int:
-    """Write a capture file (header + record stream).
+    """Write a capture file (header + record stream) in one write.
 
     MPF2 by default; ``version=1`` writes the legacy header byte-for-byte
-    (and warns if that drops non-stock metadata).  Returns the number of
-    records written.
+    (and warns if that drops non-stock metadata).  Needs no seek, so any
+    writable target works.  Returns the number of records written.
     """
     count = len(records)
     _check_count(count)
-    payload = dump_records(records)
-    if version == 1:
-        _warn_v1_metadata_loss(counter_width_bits, counter_rate_hz, overflowed, label)
-        header = MAGIC + count.to_bytes(4, "big")
-    elif version == 2:
-        header = _encode_v2_header(
-            count,
-            counter_width_bits,
-            counter_rate_hz,
-            overflowed,
-            label,
-            zlib.crc32(payload),
-        )
-    else:
-        raise ValueError(f"unknown capture format version {version}")
-    blob = header + payload
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(blob)  # type: ignore[union-attr]
-    else:
-        Path(path_or_file).write_bytes(blob)  # type: ignore[arg-type]
-    return count
-
-
-def read_capture(
-    path_or_file: Union[str, Path, BinaryIO],
-) -> tuple[list[RawRecord], CaptureMeta]:
-    """Read a capture file of either version: records plus header metadata.
-
-    Strict: a bad magic, truncated header, count mismatch or (MPF2) CRC
-    mismatch raises :class:`CaptureFormatError`.  Use
-    :func:`salvage_capture_stream` when the file may be damaged.
-    """
-    with _open_context(path_or_file, "rb") as stream:
-        meta = _read_header(stream)
-        payload = _read_exact_to_eof(stream)
-    if meta.streamed:
-        tail = payload[-TRAILER_BYTES:] if len(payload) >= TRAILER_BYTES else payload
-        count, crc32 = decode_stream_trailer(tail)
-        payload = payload[: len(payload) - TRAILER_BYTES]
-        meta = dataclasses.replace(meta, count=count, crc32=crc32)
-    records = decode_record_columns(payload).to_records()
-    if len(records) != meta.count:
-        where = "trailer" if meta.streamed else "header"
-        raise CaptureFormatError(
-            f"capture file {where} claims {meta.count} records but stream holds "
-            f"{len(records)}"
-        )
-    if meta.crc32 is not None:
-        actual = zlib.crc32(payload)
-        if actual != meta.crc32:
-            _TELEMETRY.count("upload.crc.failures")
-            where = "trailer" if meta.streamed else "header"
-            raise CaptureFormatError(
-                f"record stream CRC32 {actual:#010x} disagrees with the "
-                f"{where}'s {meta.crc32:#010x}: the payload is corrupt"
-            )
-    _TELEMETRY.count("upload.records.decoded", len(records))
-    return records, meta
-
-
-def _read_exact_to_eof(stream: BinaryIO) -> bytes:
-    """Drain *stream*, tolerating short reads the way :func:`_read_exact` does."""
-    chunks: list[bytes] = []
-    while True:
-        blob = stream.read(1 << 20)
-        if not blob:
-            return b"".join(chunks)
-        chunks.append(blob)
-
-
-def read_capture_file(path_or_file: Union[str, Path, BinaryIO]) -> list[RawRecord]:
-    """Read a capture file written by :func:`write_capture_file` (either
-    version), returning the records only."""
-    return read_capture(path_or_file)[0]
-
-
-# -- the salvaging decoder ---------------------------------------------------
-
-
-def _fuzzy_version(blob: bytes) -> Optional[int]:
-    """Best-effort version from a damaged magic: >= 3 of 4 bytes agree.
-
-    A flip in the version byte itself (``b"MPF?"``) matches both magics
-    equally, so ties are broken by framing plausibility: the version
-    whose header makes the record stream come out whole wins.
-    """
-    magic = blob[: len(MAGIC)]
-    candidates = [
-        version
-        for candidate, version in ((MAGIC_V2, 2), (MAGIC, 1))
-        if sum(a == b for a, b in zip(magic, candidate)) >= 3
-    ]
-    if len(candidates) != 1:
-        for version in candidates:
-            if version == 1 and len(blob) >= V1_HEADER_BYTES:
-                count = int.from_bytes(blob[4:8], "big")
-                if count * RECORD_BYTES == len(blob) - V1_HEADER_BYTES:
-                    return 1
-            if version == 2 and len(blob) >= V2_FIXED_HEADER_BYTES:
-                header_size = int.from_bytes(blob[4:6], "big")
-                count = int.from_bytes(blob[6:10], "big")
-                if (
-                    V2_FIXED_HEADER_BYTES <= header_size <= len(blob)
-                    and count * RECORD_BYTES == len(blob) - header_size
-                ):
-                    return 2
-    return candidates[0] if candidates else None
-
-
-def salvage_capture_bytes(blob: bytes) -> SalvageResult:
-    """Decode a possibly damaged capture image, resynchronising on faults.
-
-    Never raises on content: every fault becomes a :class:`CaptureDefect`
-    and decoding continues with the most plausible interpretation.  A
-    single flipped magic bit, a truncated tail, a lying record count or a
-    corrupt payload all still yield every recoverable record
-    (``tests/test_salvage_fuzz.py`` pins the recovery, defect by defect).
-    """
-    result = _salvage_capture_bytes(blob)
-    if _TELEMETRY.enabled:
-        _TELEMETRY.count("upload.records.salvaged", len(result.records))
-        for defect in result.defects:
-            _TELEMETRY.count("upload.salvage.defects", kind=defect.kind)
-    return result
-
-
-def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
-    defects: list[CaptureDefect] = []
-    n = len(blob)
-    if n < len(MAGIC):
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"file is {n} byte(s), shorter than any capture magic",
-                offset=0,
-            )
-        )
-        return SalvageResult([], defects, CaptureMeta(version=0, count=0))
-
-    magic = blob[: len(MAGIC)]
-    if magic == MAGIC:
-        version = 1
-    elif magic == MAGIC_V2:
-        version = 2
-    else:
-        guessed = _fuzzy_version(blob)
-        if guessed is None:
-            defects.append(
-                CaptureDefect(
-                    "bad-magic",
-                    f"magic {magic!r} matches no known capture format",
-                    offset=0,
-                )
-            )
-            return SalvageResult([], defects, CaptureMeta(version=0, count=0))
-        version = guessed
-        defects.append(
-            CaptureDefect(
-                "bad-magic",
-                f"magic {magic!r} is corrupt; resynchronised as MPF{version}",
-                offset=0,
-            )
-        )
-
-    if version == 1:
-        meta, data_offset = _salvage_v1_header(blob, defects)
-    else:
-        meta, data_offset = _salvage_v2_header(blob, defects)
-    if meta is None:
-        return SalvageResult([], defects, CaptureMeta(version=version, count=0))
-
-    payload = blob[data_offset:]
-    if meta.streamed:
-        # Open-ended stream: the trailer, not the header, carries the
-        # count and CRC.  A well-formed tail ends in "MPFT" + count +
-        # CRC; anything else means the producer was cut mid-stream.
-        if (
-            len(payload) >= TRAILER_BYTES
-            and payload[-TRAILER_BYTES:][: len(TRAILER_MAGIC)] == TRAILER_MAGIC
-        ):
-            count, crc32 = decode_stream_trailer(payload[-TRAILER_BYTES:])
-            payload = payload[: len(payload) - TRAILER_BYTES]
-            meta = dataclasses.replace(meta, count=count, crc32=crc32)
-        else:
-            defects.append(
-                CaptureDefect(
-                    "missing-trailer",
-                    "open-ended capture ends without an end-of-stream "
-                    "trailer: the stream was cut before the producer "
-                    "closed it",
-                    offset=data_offset + len(payload),
-                )
-            )
-            # No declared count or CRC survives; whatever whole records
-            # remain are the recovery.
-            meta = dataclasses.replace(
-                meta, count=len(payload) // RECORD_BYTES, crc32=None
-            )
-    remainder = len(payload) % RECORD_BYTES
-    if remainder:
-        defects.append(
-            CaptureDefect(
-                "partial-record",
-                f"{remainder} trailing byte(s) are not a whole record; dropped",
-                offset=data_offset + len(payload) - remainder,
-            )
-        )
-        payload = payload[: len(payload) - remainder]
-    records = decode_record_columns(payload).to_records()
-
-    if len(records) != meta.count:
-        defects.append(
-            CaptureDefect(
-                "count-mismatch",
-                f"header claims {meta.count} records but the stream holds "
-                f"{len(records)}",
-                offset=len(MAGIC),
-            )
-        )
-    elif meta.crc32 is not None and not remainder:
-        # Count and framing agree, so a CRC mismatch isolates payload
-        # corruption (a truncated stream would mismatch trivially).
-        actual = zlib.crc32(payload)
-        if actual != meta.crc32:
-            defects.append(
-                CaptureDefect(
-                    "crc-mismatch",
-                    f"record stream CRC32 {actual:#010x} disagrees with the "
-                    f"header's {meta.crc32:#010x}: at least one record byte "
-                    "is corrupt",
-                    offset=data_offset,
-                )
-            )
-    meta = dataclasses.replace(meta, count=len(records))
-    return SalvageResult(records, defects, meta)
-
-
-def _salvage_v1_header(
-    blob: bytes, defects: list[CaptureDefect]
-) -> tuple[Optional[CaptureMeta], int]:
-    if len(blob) < V1_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"MPF1 header needs {V1_HEADER_BYTES} bytes, file holds "
-                f"{len(blob)}",
-                offset=len(blob),
-            )
-        )
-        return None, 0
-    count = int.from_bytes(blob[4:V1_HEADER_BYTES], "big")
-    return CaptureMeta(version=1, count=count), V1_HEADER_BYTES
-
-
-def _salvage_v2_header(
-    blob: bytes, defects: list[CaptureDefect]
-) -> tuple[Optional[CaptureMeta], int]:
-    if len(blob) < V2_FIXED_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"MPF2 header needs at least {V2_FIXED_HEADER_BYTES} bytes, "
-                f"file holds {len(blob)}",
-                offset=len(blob),
-            )
-        )
-        return None, 0
-    header_size = int.from_bytes(blob[4:6], "big")
-    clamped = False
-    if header_size < V2_FIXED_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"header size {header_size} is below the "
-                f"{V2_FIXED_HEADER_BYTES}-byte minimum; assuming a label-less "
-                "header",
-                offset=4,
-            )
-        )
-        header_size = V2_FIXED_HEADER_BYTES
-        clamped = True
-    if header_size > len(blob):
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"header claims {header_size} bytes but the file holds "
-                f"{len(blob)}; treating everything past the fixed header as "
-                "records",
-                offset=len(blob),
-            )
-        )
-        header_size = V2_FIXED_HEADER_BYTES
-        clamped = True
-    count = int.from_bytes(blob[6:10], "big")
-    width = blob[10]
-    rate = int.from_bytes(blob[11:15], "big")
-    flags = blob[15]
-    crc32 = int.from_bytes(blob[16:20], "big")
-    label_len = int.from_bytes(blob[20:22], "big")
-    if not (1 <= width <= TIME_BITS):
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"counter width {width} outside 1..{TIME_BITS} bits; assuming "
-                f"the stock {STOCK_WIDTH_BITS}",
-                offset=10,
-            )
-        )
-        width = STOCK_WIDTH_BITS
-    if rate == 0:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"counter rate is zero; assuming the stock {STOCK_RATE_HZ} Hz",
-                offset=11,
-            )
-        )
-        rate = STOCK_RATE_HZ
-    if not clamped and V2_FIXED_HEADER_BYTES + label_len != header_size:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"label length {label_len} disagrees with header size "
-                f"{header_size}; trusting the header size",
-                offset=20,
-            )
-        )
-    label = blob[V2_FIXED_HEADER_BYTES:header_size].decode("utf-8", errors="replace")
-    streamed = bool(flags & 2)
-    meta = CaptureMeta(
-        version=2,
-        count=count,
-        counter_width_bits=width,
-        counter_rate_hz=rate,
-        overflowed=bool(flags & 1),
-        label=label,
-        crc32=None if streamed else crc32,
-        streamed=streamed,
+    encode = _header_encoder(
+        version, counter_width_bits, counter_rate_hz, overflowed, label
     )
-    return meta, header_size
-
-
-def salvage_capture(path_or_file: Union[str, Path, BinaryIO]) -> SalvageResult:
-    """Salvage a capture from a path or open stream (full result)."""
-    if hasattr(path_or_file, "read"):
-        blob = _read_exact_to_eof(path_or_file)  # type: ignore[arg-type]
-    else:
-        blob = Path(path_or_file).read_bytes()  # type: ignore[arg-type]
-    return salvage_capture_bytes(blob)
-
-
-def salvage_capture_stream(
-    path_or_file: Union[str, Path, BinaryIO],
-) -> tuple[list[RawRecord], list[CaptureDefect]]:
-    """Fault-tolerant read: ``(recovered records, defects tolerated)``.
-
-    The forgiving twin of :func:`read_capture`: a partial trailing
-    record, a lying header count, a corrupt CRC or a flipped magic bit
-    each produce a :class:`CaptureDefect` instead of an exception, and
-    every record that survived intact is returned.
-    """
-    result = salvage_capture(path_or_file)
-    return result.records, result.defects
+    payload = dump_records(records)
+    with _open_context(path_or_file, "wb") as stream:
+        stream.write(encode(count, zlib.crc32(payload)) + payload)
+    return count
 
 
 class EpromReadback:

@@ -24,7 +24,7 @@ messages.
   by scanning ahead over the decoded events (:class:`_Resolver`);
 * :func:`analyze_capture` / :func:`summarize_records` — the call tree of
   a capture, and the summary of a record stream's call tree;
-* :func:`read_capture` / :func:`salvage_capture_bytes` — the strict and
+* :func:`read_capture` / :func:`salvage_capture` — the strict and
   salvaging file readers with every payload byte decoded by
   :func:`load_records`.
 """
@@ -54,7 +54,6 @@ from repro.profiler.upload import (
     CaptureMeta,
     RecordColumns,
     SalvageResult,
-    decode_stream_trailer,
 )
 
 
@@ -126,7 +125,7 @@ def iter_capture_file(
     (``verify_crc``); open-ended streams verify their trailer instead.
     """
     with upload._open_context(path_or_file, "rb") as stream:
-        meta = upload._read_header(stream)
+        meta, _ = upload._read_header(stream)
         if meta.streamed:
             yield from _iter_open_stream_records(
                 stream,
@@ -199,7 +198,7 @@ def _iter_open_stream_records(
         for i in range(0, len(leftover), RECORD_BYTES):
             yield RawRecord.unpack(leftover[i : i + RECORD_BYTES])
         seen += len(leftover) // RECORD_BYTES
-    declared, trailer_crc = decode_stream_trailer(tail)
+    declared, trailer_crc = _decode_trailer(tail)
     if verify_count and seen != declared:
         raise CaptureFormatError(
             f"capture file trailer claims {declared} records but stream "
@@ -210,6 +209,22 @@ def _iter_open_stream_records(
             f"record stream CRC32 {crc:#010x} disagrees with "
             f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
         )
+
+
+def _decode_trailer(blob: bytes) -> tuple[int, int]:
+    """An open-ended stream's trailer: ``(record count, CRC32)``."""
+    if len(blob) < TRAILER_BYTES:
+        raise CaptureFormatError(
+            f"open-ended capture ends without an end-of-stream trailer "
+            f"({len(blob)} byte(s) remain, a trailer is {TRAILER_BYTES}): "
+            "the stream was cut before the producer closed it"
+        )
+    if blob[:4] != b"MPFT":
+        raise CaptureFormatError(
+            f"open-ended capture trailer magic {blob[:4]!r} is not "
+            f"{b'MPFT'!r}: the stream was cut or corrupted"
+        )
+    return int.from_bytes(blob[4:8], "big"), int.from_bytes(blob[8:12], "big")
 
 
 # -- whole files through the shipped framing, reference payload decode --------
@@ -231,12 +246,12 @@ def read_capture(
         return upload.read_capture(path_or_file)
 
 
-def salvage_capture_bytes(blob: bytes) -> SalvageResult:
-    """The salvaging decoder with the recovered payload decoded by
-    :func:`load_records` (header resynchronisation is format logic, not
-    an engine choice, and stays shared)."""
+def salvage_capture(blob: bytes) -> SalvageResult:
+    """The salvager with the recovered payload decoded by
+    :func:`load_records` (header resynchronisation and the framing check
+    are format logic, not an engine choice, and stay shared)."""
     with mock.patch.object(upload, "decode_record_columns", _reference_columns):
-        return upload.salvage_capture_bytes(blob)
+        return upload.salvage_capture(blob)
 
 
 # -- decoded events ------------------------------------------------------------
@@ -708,7 +723,7 @@ __all__ = [
     "load_records",
     "read_capture",
     "reconstruct_times",
-    "salvage_capture_bytes",
+    "salvage_capture",
     "summarize_records",
     "tree_fields",
 ]

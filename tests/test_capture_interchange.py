@@ -4,7 +4,7 @@ Covers the transfer-path robustness layer: MPF2 round-trips every
 ``Capture`` field, both header versions cross-read, short reads on
 pipe-like streams reassemble, non-seekable streaming targets fail fast,
 and a fault-injection corpus (truncation, bit flips, header lies) goes
-through ``salvage_capture_stream`` / ``repro capture doctor`` /
+through ``salvage_capture`` / ``repro capture doctor`` /
 ``analyze --salvage`` instead of raising.
 """
 
@@ -23,13 +23,12 @@ from repro.profiler.upload import (
     MAGIC,
     MAGIC_V2,
     CaptureMetadataWarning,
+    CaptureStreamWriter,
     EpromReadback,
     dump_records,
     iter_capture_columns,
     read_capture,
-    read_capture_file,
     salvage_capture,
-    salvage_capture_stream,
     write_capture_file,
     write_capture_stream,
 )
@@ -149,8 +148,8 @@ class TestCrossVersionReads:
         write_capture_file(v1, RECORDS, version=1)
         v2 = io.BytesIO(_v2_blob())
         v1.seek(0)
-        assert read_capture_file(v1) == RECORDS
-        assert read_capture_file(v2) == RECORDS
+        assert read_capture(v1)[0] == RECORDS
+        assert read_capture(v2)[0] == RECORDS
         v1.seek(0)
         v2.seek(0)
         assert list(iter_capture_records(v1)) == RECORDS
@@ -302,13 +301,15 @@ class TestSalvage:
         for version in (1, 2):
             buffer = io.BytesIO()
             write_capture_file(buffer, RECORDS, version=version)
-            records, defects = salvage_capture_stream(io.BytesIO(buffer.getvalue()))
+            result = salvage_capture(io.BytesIO(buffer.getvalue()))
+            records, defects = result.records, result.defects
             assert records == RECORDS
             assert defects == []
 
     def test_truncated_tail_drops_partial_record(self):
         blob = _v2_blob()
-        records, defects = salvage_capture_stream(io.BytesIO(blob[:-7]))
+        result = salvage_capture(io.BytesIO(blob[:-7]))
+        records, defects = result.records, result.defects
         assert records == RECORDS[:-2]  # 7 bytes = one whole + one partial record
         kinds = [d.kind for d in defects]
         assert "partial-record" in kinds and "count-mismatch" in kinds
@@ -316,16 +317,33 @@ class TestSalvage:
     def test_single_bit_flip_in_payload_is_crc_mismatch(self):
         blob = bytearray(_v2_blob())
         blob[-3] ^= 0x10
-        records, defects = salvage_capture_stream(io.BytesIO(bytes(blob)))
+        result = salvage_capture(io.BytesIO(bytes(blob)))
+        records, defects = result.records, result.defects
         assert len(records) == len(RECORDS)  # every record still delivered
         assert [d.kind for d in defects] == ["crc-mismatch"]
 
     def test_header_count_lie_reported_not_fatal(self):
         blob = bytearray(_v2_blob())
         blob[6:10] = (9999).to_bytes(4, "big")
-        records, defects = salvage_capture_stream(io.BytesIO(bytes(blob)))
+        result = salvage_capture(io.BytesIO(bytes(blob)))
+        records, defects = result.records, result.defects
         assert records == RECORDS
         assert [d.kind for d in defects] == ["count-mismatch"]
+
+    def test_trailer_count_lie_names_the_trailer(self):
+        """An open-ended stream's count comes from its trailer: the
+        defect names the trailer and points at the trailer's offset."""
+        buffer = io.BytesIO()
+        with CaptureStreamWriter(buffer, label="ab") as writer:
+            writer.write_records(RECORDS[:10])
+        blob = bytearray(buffer.getvalue())
+        blob[-8:-4] = (8).to_bytes(4, "big")
+        result = salvage_capture(io.BytesIO(bytes(blob)))
+        assert result.records == RECORDS[:10]
+        assert [(d.kind, d.message, d.offset) for d in result.defects] == [
+            ("count-mismatch", "trailer claims 8 records but the stream holds 10", 74)
+        ]
+        assert len(blob) - 12 == 74
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_magic_bit_flip_resynchronises(self, version):
@@ -339,13 +357,15 @@ class TestSalvage:
         assert [d.kind for d in result.defects] == ["bad-magic"]
 
     def test_unrecognisable_magic_gives_up_cleanly(self):
-        records, defects = salvage_capture_stream(io.BytesIO(b"GIF89a" + b"\x00" * 40))
+        result = salvage_capture(io.BytesIO(b"GIF89a" + b"\x00" * 40))
+        records, defects = result.records, result.defects
         assert records == []
         assert [d.kind for d in defects] == ["bad-magic"]
 
     def test_tiny_and_empty_files(self):
         for blob in (b"", b"MP"):
-            records, defects = salvage_capture_stream(io.BytesIO(blob))
+            result = salvage_capture(io.BytesIO(blob))
+            records, defects = result.records, result.defects
             assert records == []
             assert [d.kind for d in defects] == ["truncated-header"]
 
@@ -407,7 +427,7 @@ class TestDoctorCli:
         assert "repaired MPF2 capture written" in text
         # The repaired file is clean: strict reader accepts it, doctor
         # gives it a clean bill.
-        assert read_capture_file(repaired) == RECORDS[:-2]
+        assert read_capture(repaired)[0] == RECORDS[:-2]
         code, _ = run_cli("capture", "doctor", str(repaired))
         assert code == 0
 

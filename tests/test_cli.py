@@ -226,6 +226,58 @@ def test_broken_pipe_on_another_sink_still_raises(monkeypatch):
         main(["workloads"], out=lambda line: None)
 
 
+def _repro(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, *stdin* fed through a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        input=stdin, capture_output=True, env=env, timeout=120,
+    )
+
+
+class TestPipedCapture:
+    """``cat f.mpf | repro analyze /dev/stdin``: a pipe can be read only
+    once, so the fold opens it once and prints what the file prints."""
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("figure3_network_v2.mpf", []),
+            ("figure5_forkexec.mpf", []),
+            ("salvage_fuzz_truncate.mpf.corrupt", ["--salvage"]),
+            ("salvage_fuzz_countlie.mpf.corrupt", ["--salvage"]),
+            ("salvage_fuzz_bitflip.mpf.corrupt", ["--salvage"]),
+        ],
+    )
+    def test_pipe_prints_what_the_file_prints(self, name, extra):
+        path = str(GOLDEN_DIR / name)
+        argv = ["--names", GOLDEN_TAGS, *extra]
+        from_file = _repro("analyze", path, *argv)
+        piped = _repro(
+            "analyze", "/dev/stdin", *argv,
+            stdin=pathlib.Path(path).read_bytes(),
+        )
+        assert from_file.returncode == 0, from_file.stderr
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == from_file.stdout.replace(
+            path.encode(), b"/dev/stdin"
+        )
+        assert b"Elapsed time" in piped.stdout
+
+    def test_summary_and_tree_on_a_pipe_fail_cleanly(self):
+        """The tree reads the source a second time and finds it drained:
+        one stderr line and exit 2, never a traceback."""
+        piped = _repro(
+            "analyze", "/dev/stdin", "--names", GOLDEN_TAGS,
+            "--report", "summary", "--report", "trace",
+            stdin=(GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes(),
+        )
+        assert piped.returncode == 2
+        assert piped.stdout == b""
+        assert piped.stderr.startswith(b"analyze: /dev/stdin: ")
+        assert piped.stderr.count(b"\n") == 1 and b"Traceback" not in piped.stderr
+
+
 class TestMpf1Warning:
     @pytest.mark.parametrize(
         "extra",

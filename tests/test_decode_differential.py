@@ -32,10 +32,10 @@ from repro.analysis.summary import SummaryAccumulator
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
+    MAGIC,
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_record_columns,
     write_capture_stream,
 )
 from stream_helpers import TIME_MASK, make_names
@@ -218,8 +218,9 @@ class TestRecordParity:
     def test_chunked_stream_matches_reference(self, records, chunk_records):
         blob = dump_records(records)
         expected = list(reference.iter_record_stream(io.BytesIO(blob)))
+        capture = MAGIC + len(records).to_bytes(4, "big") + blob
         batches = list(
-            iter_record_columns(io.BytesIO(blob), chunk_records=chunk_records)
+            iter_capture_columns(io.BytesIO(capture), chunk_records=chunk_records)
         )
         flattened = [r for batch in batches for r in batch.to_records()]
         assert flattened == expected

@@ -44,7 +44,7 @@ from repro.profiler.upload import (
     CaptureStreamWriter,
     iter_capture_columns,
     read_capture,
-    salvage_capture_stream,
+    salvage_capture,
 )
 from repro.telemetry import TELEMETRY, HeartbeatFlusher
 from repro.__main__ import main
@@ -153,8 +153,9 @@ class TestOpenStreamWire:
         cut = blob[: len(blob) - TRAILER_BYTES - 3]  # trailer + partial record
         with pytest.raises(CaptureFormatError):
             list(iter_capture_columns(io.BytesIO(cut)))
-        salvaged, defects = salvage_capture_stream(io.BytesIO(cut))
-        kinds = {defect.kind for defect in defects}
+        result = salvage_capture(io.BytesIO(cut))
+        salvaged = result.records
+        kinds = {defect.kind for defect in result.defects}
         assert "missing-trailer" in kinds
         assert salvaged == records[: len(salvaged)]
         assert len(salvaged) >= len(records) - 1
@@ -477,6 +478,19 @@ class TestLiveLint:
         path.write_bytes(bytes(blob))
         report = lint_live_stream(path)
         assert [d.code for d in report] == ["P803"]
+
+    def test_label_byte_outside_crc_is_clean(self, tmp_path):
+        """A flipped label byte decodes to U+FFFD, which re-encodes as
+        three bytes: the pass must not rebuild the header size from the
+        decoded label and report the records one short."""
+        blob = bytearray(_wire_bytes(_records(10)))
+        assert blob[:4] == b"MPF2" and blob[20:22] != b"\x00\x00"
+        blob[22] = 0xFF
+        path = tmp_path / "label.mpf"
+        path.write_bytes(bytes(blob))
+        assert len(read_capture(path)[0]) == 10
+        report = lint_live_stream(path)
+        assert len(report) == 0, render_text(report)
 
     def test_p803_drain_mismatch(self):
         report = lint_live_drain(99, 100, source="<test>")

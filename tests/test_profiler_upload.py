@@ -16,9 +16,7 @@ from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_record_columns,
     read_capture,
-    read_capture_file,
     read_capture_meta,
     write_capture_file,
     write_capture_stream,
@@ -57,20 +55,20 @@ class TestCaptureFile:
         records = [RawRecord(tag=i, time=i * 10) for i in range(5)]
         path = tmp_path / "run1.mpf"
         assert write_capture_file(path, records) == 5
-        assert read_capture_file(path) == records
+        assert read_capture(path)[0] == records
 
     def test_stream_roundtrip(self):
         records = [RawRecord(tag=1, time=2)]
         buffer = io.BytesIO()
         write_capture_file(buffer, records)
         buffer.seek(0)
-        assert read_capture_file(buffer) == records
+        assert read_capture(buffer)[0] == records
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            read_capture_file(path)
+            read_capture(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.mpf"
@@ -78,7 +76,7 @@ class TestCaptureFile:
         blob = b"MPF1" + (9).to_bytes(4, "big") + dump_records(records)
         path.write_bytes(blob)
         with pytest.raises(ValueError):
-            read_capture_file(path)
+            read_capture(path)
 
 
 class TestEpromReadback:
@@ -205,12 +203,6 @@ class TestStreamingCaptureIO:
         with pytest.raises(CaptureFormatError, match="claims 9"):
             next(iterator)
 
-    def test_iter_capture_columns_count_check_can_be_disabled(self):
-        records = [RawRecord(tag=1, time=2)]
-        blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
-        batches = iter_capture_columns(io.BytesIO(blob), verify_count=False)
-        assert _flat(batches) == records
-
     def test_iter_capture_columns_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):
             next(iter_capture_columns(self._file([]), chunk_records=0))
@@ -222,7 +214,7 @@ class TestStreamingCaptureIO:
         )
         assert count == 100
         # Batch reader accepts it: the backpatched count is correct.
-        assert read_capture_file(path) == [
+        assert read_capture(path)[0] == [
             RawRecord(tag=i, time=i) for i in range(100)
         ]
 
@@ -230,7 +222,7 @@ class TestStreamingCaptureIO:
         buffer = io.BytesIO()
         assert write_capture_stream(buffer, iter(())) == 0
         buffer.seek(0)
-        assert read_capture_file(buffer) == []
+        assert read_capture(buffer)[0] == []
 
     @given(records=records_strategy)
     def test_streaming_and_batch_formats_are_identical(self, records):
@@ -314,20 +306,20 @@ class TestCaptureFormatErrorContract:
 
     def test_trailing_garbage_raises_everywhere(self):
         """Trailing partial-record bytes: one exception type from every
-        reader.  The streaming readers agree on wording; the batch reader
-        sees the whole ragged payload at once and says so."""
+        reader.  The shipped readers drain the same batches and agree on
+        the wording; the per-record oracle walks records and says so."""
         blob = self._v2_file([RawRecord(tag=1, time=2)]) + b"\x00\x00"
-        streaming_messages = set()
+        with pytest.raises(CaptureFormatError, match="partial"):
+            list(iter_capture_file(io.BytesIO(blob)))
+        messages = set()
         for reader in (
-            lambda s: list(iter_capture_file(s)),
             lambda s: list(iter_capture_columns(s)),
+            lambda s: read_capture(s),
         ):
-            with pytest.raises(CaptureFormatError, match="partial") as excinfo:
+            with pytest.raises(CaptureFormatError, match="not a multiple") as excinfo:
                 reader(io.BytesIO(blob))
-            streaming_messages.add(str(excinfo.value))
-        assert len(streaming_messages) == 1
-        with pytest.raises(CaptureFormatError, match="not a multiple"):
-            read_capture(io.BytesIO(blob))
+            messages.add(str(excinfo.value))
+        assert messages == {"record stream length 7 is not a multiple of 5"}
 
     def test_ragged_stream_raises_in_both_record_decoders(self):
         blob = b"\x00" * 7
@@ -335,11 +327,6 @@ class TestCaptureFormatErrorContract:
             load_records(blob)
         with pytest.raises(CaptureFormatError, match="not a multiple"):
             decode_record_columns(blob)
-
-    def test_iter_record_columns_rejects_trailing_partial(self):
-        blob = dump_records([RawRecord(tag=1, time=2)]) + b"\x00\x00"
-        with pytest.raises(CaptureFormatError, match="partial"):
-            list(iter_record_columns(io.BytesIO(blob)))
 
     def test_meta_probe_restores_seekable_position(self):
         records = [RawRecord(tag=i, time=i * 3) for i in range(7)]

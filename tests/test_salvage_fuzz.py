@@ -2,7 +2,7 @@
 
 A deterministic generator mutates a known-good capture — truncation,
 bit flips, count-field lies, magic damage, and stacked combinations —
-and every mutant goes through :func:`salvage_capture_bytes` twice: once
+and every mutant goes through :func:`salvage_capture` twice: once
 as shipped, once with the recovered payload decoded by the per-record
 oracle (``tests/reference_decode.py``).  Both must recover the same
 records, report the same :class:`CaptureDefect` list and the same
@@ -36,7 +36,7 @@ import reference_decode
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     dump_records,
-    salvage_capture_bytes,
+    salvage_capture,
     write_capture_stream,
 )
 
@@ -92,8 +92,8 @@ def mutate(blob: bytes, kind: str, rng: random.Random) -> bytes:
 
 #: The two salvage runs every mutant goes through.
 DECODERS = {
-    "reference": reference_decode.salvage_capture_bytes,
-    "columnar": salvage_capture_bytes,
+    "reference": reference_decode.salvage_capture,
+    "columnar": salvage_capture,
 }
 
 
