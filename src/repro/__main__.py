@@ -44,11 +44,24 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.analysis.callstack import Anomaly, CallTreeAnalysis, analyze_capture
+from repro.analysis.callstack import (
+    Anomaly,
+    CallTreeAnalysis,
+    CallTreeRecorder,
+    analyze_capture,
+)
 from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import gprof_report
 from repro.analysis.timeline import render_timeline
-from repro.analysis.summary import ProfileSummary, fold_capture, summarize_capture
+from repro.analysis.summary import (
+    CaptureSource,
+    FoldResult,
+    ProfileSummary,
+    SummaryAccumulator,
+    fold_capture,
+    read_once,
+    summarize_capture,
+)
 from repro.analysis.trace import format_trace
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
@@ -60,11 +73,10 @@ from repro.lint import (
     render_json,
     render_text,
 )
-from repro.profiler.capture import Capture, warn_mpf1_defaults
+from repro.profiler.capture import warn_mpf1_defaults
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
     CaptureDefect,
-    CaptureFormatError,
     cached_capture_meta,
     salvage_capture,
     write_capture_file,
@@ -304,8 +316,16 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         names = NameTable.read(*args.names)
     except OSError as exc:
         return _bad_input("analyze", exc.filename or args.names[0], exc)
+    source: CaptureSource = args.capture
     if args.strict:
-        lint_report = lint_capture_file(args.capture, names)
+        try:
+            # The lint and the fold read the same bytes: a pipe is read once.
+            source = read_once(args.capture)
+        except OSError:
+            pass  # the lint reports the unreadable source
+        lint_report = lint_capture_file(
+            args.capture, names, data=source if isinstance(source, bytes) else None
+        )
         out(render_text(lint_report))
         out("")
         if not lint_report.ok:
@@ -314,45 +334,46 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
                 f"{args.capture}; refusing to analyze a corrupt stream"
             )
             return 1
-    summary: Optional[ProfileSummary] = None
-    desyncs = 0
-    if "summary" in args.report:
-        # The summary folds straight off the file in O(chunk) memory.
-        progress = _make_progress(args, _header_total(args.capture), label="fold")
-        try:
-            result = fold_capture(
-                args.capture, names, salvage=args.salvage, progress=progress.update
-            )
-        finally:
-            progress.finish()
-        if result.accumulator is None:
-            fault = result.fault
-            problem = fault if isinstance(fault, OSError) else result.error
-            return _bad_input("analyze", args.capture, problem)
-        summary = result.accumulator.summary()
-        desyncs = _count_desyncs(result.accumulator.anomalies)
-        count, defects = result.records, result.defects
-    analysis: Optional[CallTreeAnalysis] = None
-    if _needs_tree(args.report):
-        try:
-            capture = Capture.load(
-                args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
-            )
-        except (OSError, CaptureFormatError) as exc:
-            return _bad_input("analyze", args.capture, exc)
-        analysis = analyze_capture(capture)
-        if summary is None:
-            count, defects = len(capture), capture.defects
-    elif result.meta is not None and result.meta.version == 1:
-        # Capture.load warns on the tree path; the fold itself stays
-        # silent so fleet and db ingest do not.
+    # One read folds the summary and, when a tree report wants it, records
+    # the call tree in the same pass.
+    tree = _needs_tree(args.report)
+    progress = _make_progress(args, _header_total(args.capture), label="fold")
+    try:
+        result = fold_capture(
+            source,
+            names,
+            salvage=args.salvage,
+            progress=lambda n, _arrival: progress.update(n),
+            new_accumulator=CallTreeRecorder if tree else SummaryAccumulator,
+        )
+    finally:
+        progress.finish()
+    fold = result.accumulator
+    if fold is None:
+        return _unreadable("analyze", args.capture, result)
+    if result.meta.version == 1:
         warn_mpf1_defaults(args.capture)
     verb = "streamed" if args.stream else "loaded"
-    out(f"{verb} {count} events from {args.capture}")
-    _print_reports(args.report, args.summary_limit, out, summary, desyncs, analysis)
+    out(f"{verb} {result.records} events from {args.capture}")
+    _print_reports(
+        args.report,
+        args.summary_limit,
+        out,
+        fold.summary() if "summary" in args.report else None,
+        _count_desyncs(fold.anomalies),
+        fold.analysis() if tree else None,
+    )
     if args.salvage:
-        _defect_footer(defects, args.capture, out)
+        _defect_footer(result.defects, args.capture, out)
     return 0
+
+
+def _unreadable(command: str, source: str, result: FoldResult) -> int:
+    """:func:`_bad_input` for a capture the fold could not read."""
+    fault = result.fault
+    return _bad_input(
+        command, source, fault if isinstance(fault, OSError) else result.error
+    )
 
 
 def cmd_doctor(args: argparse.Namespace, out: Callable) -> int:
@@ -441,13 +462,16 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
 
     try:
         names = NameTable.read(*args.names)
-        capture = Capture.load(
-            args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
-        )
-    except (OSError, CaptureFormatError) as exc:
-        culprit = getattr(exc, "filename", None) or args.capture
-        return _bad_input("trace export", culprit, exc)
-    analysis = analyze_capture(capture)
+    except OSError as exc:
+        return _bad_input("trace export", exc.filename or args.names[0], exc)
+    result = fold_capture(
+        args.capture, names, salvage=args.salvage, new_accumulator=CallTreeRecorder
+    )
+    if result.accumulator is None:
+        return _unreadable("trace export", args.capture, result)
+    if result.meta.version == 1:
+        warn_mpf1_defaults(args.capture)
+    analysis = result.accumulator.analysis()
     interrupt_names = (
         frozenset(
             name.strip() for name in args.interrupt_frames.split(",") if name.strip()
@@ -461,7 +485,7 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
     output = args.output or str(Path(args.capture).with_suffix(".trace.json"))
     write_text_atomic(output, json.dumps(document, indent=1))
     if args.salvage:
-        _defect_footer(capture.defects, args.capture, out)
+        _defect_footer(result.defects, args.capture, out)
     out(
         f"chrome trace written to {output}: "
         f"{len(document['traceEvents'])} event(s), "
@@ -946,7 +970,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
         if args.trace_out:
             from repro.live.trace import LiveTraceWriter
 
-            trace = LiveTraceWriter(args.trace_out, names)
+            trace = LiveTraceWriter(args.trace_out)
         if args.heartbeat:
             from repro.telemetry import HeartbeatFlusher
 

@@ -36,7 +36,7 @@ state machine and keeps a :class:`CallNode` per call.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.analysis.columnar import CODE_ENTRY, CODE_EXIT, CODE_UNKNOWN
 from repro.analysis.summary import Anomaly, SummaryAccumulator, _ProcStack
@@ -130,14 +130,27 @@ class CallTreeRecorder(SummaryAccumulator):
     frames it closes or invents through :meth:`_close_frame` and
     :meth:`_synthetic_frame`.  The summary the base class folds stays
     available (:meth:`summary`).
+
+    With a *sink* the forest is streamed instead of kept: each node goes
+    to ``sink.node(node, enclosing)`` the moment it closes — *enclosing*
+    is the list of frames still open around it, outermost first, each
+    frame's name at index 0 — and each inline mark outside any frame to
+    ``sink.mark(time_us, name, proc)``.  Nodes then carry no children,
+    and memory stays bounded by the open frames, as the plain fold's
+    does.  :meth:`analysis` reports an empty forest.
     """
 
-    def __init__(self, names: NameTable, *, width_bits: int = 24) -> None:
+    def __init__(
+        self, names: NameTable, *, width_bits: int = 24, sink: Optional[Any] = None
+    ) -> None:
         super().__init__(names, width_bits=width_bits)
+        self._sink = sink
         self._roots: list[CallNode] = []
         self._orphan_marks: list[tuple[int, str]] = []
 
     def _place(self, node: CallNode, frames: list[list]) -> None:
+        if self._sink is not None:
+            return
         if frames:
             frames[-1][4].children.append(node)
         else:
@@ -171,6 +184,8 @@ class CallTreeRecorder(SummaryAccumulator):
         # A mark with no open frame is a user-mode point between calls.
         if frames:
             frames[-1][4].inline_marks.append((t, name))
+        elif self._sink is not None:
+            self._sink.mark(t, name, stack.proc)
         else:
             self._orphan_marks.append((t, name))
 
@@ -180,6 +195,8 @@ class CallTreeRecorder(SummaryAccumulator):
         node.exit_us = t
         node.self_us = frame[1]
         node.truncated = truncated
+        if self._sink is not None:
+            self._sink.node(node, stack.frames)
         return frame
 
     def _synthetic_frame(self, name: str, is_cs: bool, t: int) -> None:
@@ -197,6 +214,8 @@ class CallTreeRecorder(SummaryAccumulator):
             depth=0 if is_cs else len(stack.frames),
         )
         self._place(node, stack.frames)
+        if self._sink is not None:
+            self._sink.node(node, stack.frames)
 
     def analysis(self) -> CallTreeAnalysis:
         """Seal, and return the recorded forest with its CPU accounting."""

@@ -2,7 +2,7 @@
 
 Walking one :class:`~repro.profiler.ram.RawRecord` at a time costs a
 Python object, a name-table lookup and a wrap subtraction per record.
-This module states the three decode jobs over *columns* instead:
+This module states the two decode jobs over *columns* instead:
 
 1. **Timer unwrap** (:func:`unwrap_times`) — "the analysis software
    only uses the timer value as an interval time": successive 24-bit
@@ -13,9 +13,11 @@ This module states the three decode jobs over *columns* instead:
    irrecoverably, the paper's stated limit;
 2. **Tag decode** (:func:`build_tag_map` + :func:`decode_columns`) —
    one memoizing dict lookup per record, batched into parallel code and
-   name columns;
-3. **Entry/exit pairing** (:func:`pair_entry_exits`) — one stack pass
-   over the code column yielding matched call spans.
+   name columns.
+
+Matching entries to exits is not a decode job: the fold's state machine
+(:class:`repro.analysis.summary.SummaryAccumulator`) is the one
+call-stack reconstruction.
 
 The product, :class:`ColumnarEvents`, holds one decoded event per
 record, column by column; no per-event object is ever built.
@@ -183,90 +185,3 @@ def decode_columns(
     info = [tag_map[tag] for tag in columns.tags]
     name_col, codes, _ = zip(*info) if info else ((), (), ())
     return ColumnarEvents(start_index, times, codes, name_col)
-
-
-@dataclasses.dataclass(frozen=True)
-class CallSpan:
-    """One matched entry/exit pair: a completed call."""
-
-    name: str
-    entry_index: int
-    exit_index: int
-    elapsed_us: int
-
-
-@dataclasses.dataclass
-class PairingCarry:
-    """Open-frame state carried between :func:`pair_entry_exits` batches.
-
-    Frames hold *global* indices and *absolute* times, so a span whose
-    entry arrived three wire batches ago still closes correctly.  Hand
-    the same instance to every call over consecutive batches of one
-    stream; ``len(carry.stack)`` after the final batch is the count of
-    calls the capture window truncated.
-    """
-
-    stack: list[tuple[str, int, int]] = dataclasses.field(default_factory=list)
-    open_names: dict[str, int] = dataclasses.field(default_factory=dict)
-
-
-def pair_entry_exits(
-    events: ColumnarEvents, carry: Optional[PairingCarry] = None
-) -> list[CallSpan]:
-    """Batched entry/exit pairing: matched call spans from the columns.
-
-    One stack pass over the code column.  An exit closes the innermost
-    open frame of the same name; frames opened above it are popped
-    without producing a span (the administrative close of a missed exit),
-    an exit with no open frame of its name is ignored (capture began
-    mid-call), and frames still open at the end of the batch produce no
-    span (window truncation).  Inline and unknown events have no stack
-    effect.  This is deliberately the *within-process* view — pairing
-    across context switches is the summary state machine's job — which
-    makes it the cheap first pass for span-oriented consumers (flame
-    exports, per-call latency scans).
-
-    Without *carry*, frames still open at the end of the batch produce
-    no span (window truncation).  With a :class:`PairingCarry` — the
-    live wire's mode — those frames persist in the carry instead, and a
-    later batch of the same stream closes them: chunked pairing over a
-    whole stream then yields exactly the spans one all-at-once call
-    would.
-    """
-    spans: list[CallSpan] = []
-    if carry is None:
-        stack: list[tuple[str, int, int]] = []
-        open_names: dict[str, int] = {}
-    else:
-        stack = carry.stack
-        open_names = carry.open_names
-    times = events.times
-    names = events.names
-    start_index = events.start_index
-    for offset, code in enumerate(events.codes):
-        if code == CODE_ENTRY:
-            name = names[offset]
-            stack.append((name, start_index + offset, times[offset]))
-            open_names[name] = open_names.get(name, 0) + 1
-        elif code == CODE_EXIT:
-            name = names[offset]
-            if not open_names.get(name):
-                continue
-            while stack:
-                frame_name, entry_index, entry_time = stack.pop()
-                count = open_names[frame_name] - 1
-                if count:
-                    open_names[frame_name] = count
-                else:
-                    del open_names[frame_name]
-                if frame_name == name:
-                    spans.append(
-                        CallSpan(
-                            name=name,
-                            entry_index=entry_index,
-                            exit_index=start_index + offset,
-                            elapsed_us=times[offset] - entry_time,
-                        )
-                    )
-                    break
-    return spans

@@ -24,7 +24,7 @@ import os
 import time
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Optional, Union
 
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
@@ -44,6 +44,7 @@ from repro.profiler.upload import (
     CaptureMeta,
     RecordColumns,
     open_capture_columns,
+    read_capture_bytes,
     salvage_capture,
 )
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -804,8 +805,23 @@ def summarize_capture(capture: Capture) -> ProfileSummary:
 
 
 
-#: What :func:`fold_capture` reads: a path, or the capture's bytes.
-CaptureSource = Union[str, Path, bytes]
+#: What :func:`fold_capture` reads: a path, the capture's bytes, or an
+#: open stream (a pipe or socket is read once, front to back).
+CaptureSource = Union[str, Path, bytes, BinaryIO]
+
+
+def read_once(source: CaptureSource) -> CaptureSource:
+    """*source*, or its bytes when it can be read only once.
+
+    A path that is not a regular file (``/dev/stdin``, a FIFO) and an
+    open stream can be read only once; a caller that must hand the same
+    capture to two readers — the linter and the fold, or the fold and
+    the salvager — reads it into memory here first.  Raises
+    :class:`OSError` when the bytes cannot be read.
+    """
+    if isinstance(source, (str, Path)) and os.path.isfile(source):
+        return source
+    return read_capture_bytes(source)
 
 
 @dataclasses.dataclass
@@ -817,7 +833,8 @@ class FoldResult:
     (nothing usable; ``error`` says why and ``fault`` holds the exception
     that stopped the fold).  ``meta`` is the header the fold
     trusted: the salvager's on ``salvaged``, the reader's otherwise
-    (``None`` when not even the header could be read).  ``records``
+    (``None`` when not even the header could be read).  ``accumulator``
+    is the sealed fold, of the kind the caller asked for.  ``records``
     counts records folded; on ``failed`` it counts the whole batches the
     clean attempt folded before the fault.  ``fold_s`` is the clean
     attempt's wall time (header read included), ``salvage_s`` the salvage and
@@ -840,38 +857,52 @@ def fold_capture(
     names: NameTable,
     *,
     salvage: bool = False,
-    progress: Optional[Callable[[int], None]] = None,
+    progress: Optional[Callable[[int, float], None]] = None,
+    new_accumulator: Callable[..., SummaryAccumulator] = SummaryAccumulator,
 ) -> FoldResult:
-    """Fold one capture file into a sealed :class:`SummaryAccumulator`.
+    """Fold one capture into a sealed accumulator.
 
     The one ingest path every entry point shares: open the capture once,
     fold columnar batches off it with the header's counter width, and —
     with ``salvage`` — on a content fault run the salvager and refold
-    whatever survived from scratch.  *source* is a path or the whole
+    whatever survived from scratch.  *source* is a path, the whole
     file's bytes (a caller that also fingerprints the file reads it
-    once); a path that is not a regular file (a pipe) can be read only
-    once, so under ``salvage`` it is read into memory first and the
-    salvager sees the bytes the clean attempt saw.  ``progress`` is
-    called with each clean batch's record count.  Never raises on a bad
-    capture: faults land in the :class:`FoldResult`.
+    once) or an open stream.  A source that can be read only once (a
+    pipe) is read into memory first under ``salvage``
+    (:func:`read_once`), so the salvager sees the bytes the clean
+    attempt saw.
+
+    ``new_accumulator(names, width_bits=...)`` makes the fold, for the
+    clean attempt and the salvage refold alike: the plain
+    :class:`SummaryAccumulator` for a summary, or
+    :class:`~repro.analysis.callstack.CallTreeRecorder` when the call
+    tree is wanted too — one read then yields both.  ``progress`` is
+    called after each clean batch folds, with its record count and the
+    :func:`time.monotonic` instant the batch came off the source, and
+    once more with 0 records when the source ends, before the fold seals
+    (the live analyzer closes its last window there).  Never raises on a
+    bad capture: faults land in the :class:`FoldResult`.
     """
     started = time.perf_counter()
     meta: Optional[CaptureMeta] = None
     records = 0
     try:
-        if salvage and not isinstance(source, bytes) and not os.path.isfile(source):
-            source = Path(source).read_bytes()
+        if salvage:
+            source = read_once(source)
         stream = io.BytesIO(source) if isinstance(source, bytes) else source
         with _TELEMETRY.span("analysis.fold_capture"):
             with open_capture_columns(stream) as (meta, batches):
-                accumulator = SummaryAccumulator(
+                accumulator = new_accumulator(
                     names, width_bits=meta.counter_width_bits
                 )
                 for batch in batches:
+                    arrival = time.monotonic()
                     accumulator.feed_columns(batch)
                     records += len(batch)
                     if progress is not None:
-                        progress(len(batch))
+                        progress(len(batch), arrival)
+            if progress is not None:
+                progress(0, time.monotonic())
             accumulator.close()
     except (OSError, ValueError) as exc:
         fault: Exception = exc
@@ -906,9 +937,7 @@ def fold_capture(
     # The clean attempt may have folded batches before the fault
     # surfaced; the salvager replays the file from scratch, so refold
     # into a fresh accumulator.
-    accumulator = SummaryAccumulator(
-        names, width_bits=result.meta.counter_width_bits
-    )
+    accumulator = new_accumulator(names, width_bits=result.meta.counter_width_bits)
     accumulator.feed_records(result.records).close()
     return FoldResult(
         "salvaged", result.meta, accumulator, len(result.records),

@@ -28,6 +28,7 @@ Exit codes follow the CI convention: 0 clean (warnings allowed),
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -91,6 +92,7 @@ def lint_capture_file(
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
     salvage: bool = False,
+    data: Optional[bytes] = None,
 ) -> LintReport:
     """Run the stream verifier over one capture file.
 
@@ -98,12 +100,14 @@ def lint_capture_file(
     ``salvage=True`` the salvaging decoder then takes over — its
     tolerated faults become file-level diagnostics (P209–P213) and the
     recovered records still go through the stream checks, so a damaged
-    capture yields a full report instead of one opaque error.
+    capture yields a full report instead of one opaque error.  *data*,
+    when given, is the file's bytes already read (a pipe can be read
+    only once); diagnostics still name *path*.
     """
     report = report if report is not None else LintReport()
     source = str(path)
     try:
-        records, meta = read_capture(path)
+        records, meta = read_capture(path if data is None else io.BytesIO(data))
     except OSError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
         return report
@@ -111,7 +115,7 @@ def lint_capture_file(
         report.add("P200", f"cannot read capture: {exc}", source=source)
         if not salvage:
             return report
-        result = salvage_capture(path)
+        result = salvage_capture(path if data is None else data)
         lint_capture_defects(result.defects, source=source, report=report)
         records, meta = result.records, result.meta
         if not records:

@@ -5,15 +5,17 @@ package makes the MPF2 stream boundary a real pipe.  A producer
 (:mod:`repro.live.capture`) emits an open-ended MPF2 stream — sentinel
 record count, end-of-stream trailer — to a pipe/FIFO/socket while
 :class:`~repro.live.analyzer.LiveAnalyzer` consumes it concurrently:
-columnar batches off the wire, folded straight into the PR 1 streaming
-accumulator, with rolling windowed summaries, live telemetry gauges, an
-incremental Chrome-trace track and a Prometheus ``/metrics`` endpoint.
+columnar batches off the wire, folded by the one ingest path
+(:func:`~repro.analysis.summary.fold_capture`), with rolling windowed
+summaries, live telemetry gauges, an incremental Chrome trace of the
+fold's own call reconstruction and a Prometheus ``/metrics`` endpoint.
 ``repro top`` (:mod:`repro.live.top`) puts a refreshing operator view on
 top.
 
-The invariant everything here is tested against: the drained live
+The invariants everything here is tested against: the drained live
 summary is byte-identical to batch ``repro analyze`` over the same
-record stream.
+record stream, and the live trace's call slices equal ``repro trace
+export``'s.
 """
 
 from repro.live.analyzer import LiveAnalyzer, LiveWindow

@@ -1,14 +1,17 @@
 """The live consumer: wire batches -> rolling summaries -> gauges.
 
-:class:`LiveAnalyzer` is the analysis side of the live pipe.  It drives
-:func:`repro.profiler.upload.open_capture_columns` over a (usually
-non-seekable, open-ended) capture stream and folds every batch into one
-:class:`~repro.analysis.summary.SummaryAccumulator` with the counter
-width the wire header declares — the same fold batch ``analyze
---stream`` runs, which is what makes the drained final summary
-byte-identical to the batch report by construction.
+:class:`LiveAnalyzer` is the analysis side of the live pipe.  It drains
+a (usually non-seekable, open-ended) capture stream through
+:func:`repro.analysis.summary.fold_capture` — the one ingest path batch
+``analyze``, ``fleet ingest`` and ``db ingest`` share — so the drained
+final summary is byte-identical to the batch report by construction.
+With a live trace the fold is a
+:class:`~repro.analysis.callstack.CallTreeRecorder` streaming each call
+it closes to the :class:`~repro.live.trace.LiveTraceWriter`, so the
+live trace is ``trace export``'s reconstruction; without one it is the
+plain :class:`~repro.analysis.summary.SummaryAccumulator`.
 
-On top of the fold it publishes the live observables:
+Everything live hangs on the fold's per-batch hook:
 
 * **rolling summaries** — every ``window_s`` (host monotonic clock) a
   :class:`LiveWindow` pairs the cumulative
@@ -18,10 +21,8 @@ On top of the fold it publishes the live observables:
 * **telemetry gauges** through the PR 5 registry — events/sec
   (cumulative and per-window), consumer lag (milliseconds from batch
   arrival to fold completion), bytes buffered and totals;
-* an optional incremental Chrome-trace track
-  (:class:`~repro.live.trace.LiveTraceWriter`) and jsonl heartbeat
-  (:class:`~repro.telemetry.heartbeat.HeartbeatFlusher`), each fed per
-  batch;
+* the jsonl heartbeat (:class:`~repro.telemetry.heartbeat.HeartbeatFlusher`)
+  and the live trace's flush;
 * a Prometheus ``/metrics`` endpoint, by handing :meth:`render_metrics`
   to :class:`repro.fleet.serve.MetricsHTTPServer`.
 """
@@ -30,18 +31,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.analysis.summary import ProfileSummary, SummaryAccumulator
+from repro.analysis.callstack import CallTreeRecorder
+from repro.analysis.summary import (
+    CaptureSource,
+    ProfileSummary,
+    SummaryAccumulator,
+    fold_capture,
+)
 from repro.instrument.namefile import NameTable
 from repro.live.trace import LiveTraceWriter
-from repro.profiler.upload import (
-    DEFAULT_CHUNK_RECORDS,
-    RECORD_BYTES,
-    RecordColumns,
-    open_capture_columns,
-)
+from repro.profiler.upload import RECORD_BYTES, RecordColumns
 from repro.telemetry import TELEMETRY, HeartbeatFlusher
 from repro.telemetry.export import to_prometheus
 
@@ -78,6 +79,9 @@ class LiveAnalyzer:
     with each closed :class:`LiveWindow` — the hook ``repro top`` hangs
     its refresh on.  ``width_bits`` is the counter width pushed batches
     unwrap with; :meth:`consume` takes it from the wire header instead.
+    ``clock`` times windows and rates; ``live.lag_ms`` is always
+    measured on :func:`time.monotonic`, the clock arrival instants are
+    taken on.
     """
 
     def __init__(
@@ -94,13 +98,12 @@ class LiveAnalyzer:
         if window_s <= 0:
             raise ValueError(f"window must be positive, got {window_s}")
         self.names = names
-        self.width_bits = width_bits
-        self.accumulator = SummaryAccumulator(names, width_bits=width_bits)
+        self.trace = trace
+        self.records_total = 0
+        self._new_fold(names, width_bits=width_bits)
         self.window_s = window_s
         self.on_window = on_window
-        self.trace = trace
         self.heartbeat = heartbeat
-        self.records_total = 0
         self.bytes_total = 0
         self.batches = 0
         self.windows: int = 0
@@ -111,28 +114,50 @@ class LiveAnalyzer:
         self._window_base: Optional[ProfileSummary] = None
         self._finished: Optional[ProfileSummary] = None
 
+    def _new_fold(self, names: NameTable, *, width_bits: int) -> SummaryAccumulator:
+        """Start the fold records go into (:meth:`consume` starts one at
+        the width the header declares); it records calls for the live
+        trace when there is one."""
+        if self.records_total:
+            raise ValueError(
+                f"cannot start a new fold after {self.records_total} records"
+            )
+        if self.trace is not None:
+            self.accumulator = CallTreeRecorder(
+                names, width_bits=width_bits, sink=self.trace
+            )
+        else:
+            self.accumulator = SummaryAccumulator(names, width_bits=width_bits)
+        return self.accumulator
+
     # -- feeding ---------------------------------------------------------------
 
     def feed(self, columns: RecordColumns, *, arrival: Optional[float] = None) -> None:
         """Fold one wire batch in and publish the per-batch gauges.
 
-        ``arrival`` is the monotonic instant the batch's bytes finished
-        arriving (defaults to now); the published ``live.lag_ms`` gauge
-        is the time from that instant to fold completion — how far the
-        consumer runs behind the wire.
+        ``arrival`` is the :func:`time.monotonic` instant the batch's
+        bytes finished arriving (defaults to now); the published
+        ``live.lag_ms`` gauge is the time from that instant to fold
+        completion — how far the consumer runs behind the wire.
         """
         if arrival is None:
-            arrival = self._clock()
-        n = len(columns)
+            arrival = time.monotonic()
         self.accumulator.feed_columns(columns)
-        if self.trace is not None:
-            self.trace.feed(columns)
+        self._folded(len(columns), arrival)
+
+    def _folded(self, n: int, arrival: float) -> None:
+        """After each batch folds: gauges, window rotation, heartbeat (the
+        :func:`fold_capture` per-batch hook).  Its 0-record call at end of
+        stream closes the last window before the fold seals."""
+        if not n:
+            self._close_last_window()
+            return
         self.records_total += n
         self.bytes_total += n * RECORD_BYTES
         self.batches += 1
         done = self._clock()
         if TELEMETRY.enabled:
-            lag_ms = (done - arrival) * 1_000.0
+            lag_ms = (time.monotonic() - arrival) * 1_000.0
             elapsed = done - self._started
             TELEMETRY.count("live.records", n)
             TELEMETRY.set_gauge("live.records.total", self.records_total)
@@ -145,6 +170,8 @@ class LiveAnalyzer:
                     "live.events_per_sec", self.records_total / elapsed
                 )
         self.maybe_rotate(now=done)
+        if self.trace is not None:
+            self.trace.flush()
         if self.heartbeat is not None:
             self.heartbeat.maybe_flush()
 
@@ -197,11 +224,7 @@ class LiveAnalyzer:
         """Seal the accumulator; the drained summary (byte-identical to
         batch analysis of the same records).  Idempotent."""
         if self._finished is None:
-            if self.records_total and (
-                self._window_base is None
-                or self._window_base.event_count != self.records_total
-            ):
-                self.rotate()
+            self._close_last_window()
             self._finished = self.accumulator.summary()
             if self.trace is not None:
                 self.trace.close()
@@ -209,42 +232,32 @@ class LiveAnalyzer:
                 self.heartbeat.flush()
         return self._finished
 
-    def consume(
-        self,
-        source: Union[str, Path, BinaryIO],
-        *,
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    ) -> ProfileSummary:
+    def _close_last_window(self) -> None:
+        """Close the window holding records no window has shown yet, from
+        a peek of the still unsealed fold."""
+        if self.records_total and (
+            self._window_base is None
+            or self._window_base.event_count != self.records_total
+        ):
+            self.rotate()
+
+    def consume(self, source: CaptureSource) -> ProfileSummary:
         """Drain *source* (a path, pipe or socket file) to completion.
 
-        Records unwrap with the counter width the header declares.  Each
-        ``read()`` off the wire becomes one :meth:`feed`; the arrival
-        timestamp for the lag gauge is taken the moment the batch is
-        decoded off the stream.
+        One :func:`fold_capture` of the stream, at the counter width its
+        header declares.  Each ``read()`` off the wire is one batch; the
+        lag gauge's arrival instant is taken the moment the batch comes
+        off the stream.  A stream the reader rejects raises its fault.
         """
-        clock = self._clock
-        with open_capture_columns(source, chunk_records=chunk_records) as (
-            meta,
-            batches,
-        ):
-            self._use_width(meta.counter_width_bits)
-            for columns in batches:
-                self.feed(columns, arrival=clock())
+        result = fold_capture(
+            source,
+            self.names,
+            progress=self._folded,
+            new_accumulator=self._new_fold,
+        )
+        if result.fault is not None:
+            raise result.fault
         return self.finish()
-
-    def _use_width(self, width_bits: int) -> None:
-        if width_bits == self.width_bits:
-            return
-        if self.records_total:
-            raise ValueError(
-                f"stream declares a {width_bits}-bit counter but "
-                f"{self.records_total} records were already folded at "
-                f"{self.width_bits} bits"
-            )
-        self.width_bits = width_bits
-        self.accumulator = SummaryAccumulator(self.names, width_bits=width_bits)
-        if self.trace is not None:
-            self.trace.width_bits = width_bits
 
     # -- scrape ----------------------------------------------------------------
 

@@ -6,17 +6,18 @@ its streaming sibling: it appends ``trace_event`` JSON *while the stream
 flows*, so the trace file can be loaded (Chrome and Perfetto tolerate an
 unterminated event array) before the capture finishes.
 
-Per wire batch it decodes the columns with the PR 6 columnar engine —
-carrying the timer-unwrap state across batches — and emits one
-``ph="X"`` complete event per entry/exit pair matched so far by
-:func:`repro.analysis.columnar.pair_entry_exits`, with a
-:class:`~repro.analysis.columnar.PairingCarry` holding frames open
-across batch boundaries, so a call that spans three wire chunks still
-renders as one slice.  This is deliberately the cheap within-process
-pairing: calls still open when the producer dies simply never render,
-and the authoritative reconstruction stays the batch exporter's job.
-Each closed rolling window adds counter samples (events/sec, busy%) on
-a gauge track.
+It renders the same reconstruction: the live fold is a
+:class:`~repro.analysis.callstack.CallTreeRecorder` with this writer as
+its sink, so each call reaches :meth:`LiveTraceWriter.node` the moment
+the fold closes it — split at ``swtch`` into per-process tracks, with
+interrupt frames on the interrupt track — and is drawn by
+:func:`repro.telemetry.export.call_node_events`, the renderer ``trace
+export`` uses.  The writer keeps no closed call, so memory stays bounded
+by the fold's open frames.  Frames still open when the stream ends are
+closed administratively by the fold and drawn ``truncated``, as in the
+batch export; user-mode inline marks land on the track of the process
+they fired in.  Each closed rolling window adds counter samples
+(events/sec, busy%) on a gauge track of its own (:data:`GAUGE_PID`).
 
 A ``max_slices`` cap bounds the file for long sessions; once reached,
 only the counter track keeps appending and the drop is recorded in the
@@ -27,135 +28,105 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from repro.analysis.columnar import (
-    PairingCarry,
-    build_tag_map,
-    decode_columns,
-    pair_entry_exits,
+from repro.analysis.callstack import CallNode
+from repro.analysis.timeline import DEFAULT_INTERRUPT_FRAMES
+from repro.telemetry.export import (
+    INTERRUPT_PID,
+    call_node_events,
+    chrome_counter_event,
+    chrome_mark_event,
+    chrome_process_name,
+    proc_pid,
 )
-from repro.instrument.namefile import NameTable
-from repro.profiler.upload import RecordColumns
-from repro.telemetry.export import chrome_complete_event, chrome_counter_event
 
 #: Default cap on emitted call slices (the counter track is unbounded).
 DEFAULT_MAX_SLICES = 100_000
 
+#: pid of the counter track: above every reconstructed process's pid
+#: (:func:`~repro.telemetry.export.proc_pid`), so the gauges get a track
+#: of their own.
+GAUGE_PID = 2**31 - 1
+
 
 class LiveTraceWriter:
-    """Append a Chrome ``trace_event`` array batch by batch."""
+    """Append a Chrome ``trace_event`` array call by call (a recorder sink)."""
 
     def __init__(
         self,
         path: Union[str, Path],
-        names: NameTable,
         *,
-        width_bits: int = 24,
         max_slices: int = DEFAULT_MAX_SLICES,
         label: str = "",
     ) -> None:
         self.path = Path(path)
         self.max_slices = max_slices
+        self.label = label
         self.slices = 0
         self.dropped = 0
         self.closed = False
-        self.width_bits = width_bits
-        self._tag_map = build_tag_map(names)
-        self._names = names
-        # Cross-batch decode carry: previous raw snapshot, absolute time,
-        # global record index.
-        self._previous: Optional[int] = None
-        self._base = 0
-        self._index = 0
-        self._carry = PairingCarry()
+        self._interrupts = frozenset(DEFAULT_INTERRUPT_FRAMES)
+        self._tracks: set[int] = set()
         self._file = self.path.open("w")
         self._file.write("[\n")
         self._first = True
-        self._emit(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": f"repro live{': ' + label if label else ''}"},
-            }
-        )
-        self._emit(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 1,
-                "args": {"name": "calls (within-stream pairing)"},
-            }
-        )
+        self._track(INTERRUPT_PID, "interrupts")
 
     def _emit(self, event: dict) -> None:
         prefix = " " if self._first else ",\n "
         self._first = False
         self._file.write(prefix + json.dumps(event, sort_keys=True))
 
-    def feed(self, columns: RecordColumns) -> int:
-        """Decode one wire batch and append its matched call slices.
+    def _track(self, pid: int, name: str) -> None:
+        """Name track *pid* the first time anything lands on it."""
+        if pid not in self._tracks:
+            self._tracks.add(pid)
+            self._emit(chrome_process_name(pid, name))
 
-        Returns how many slices were written (0 once the cap is hit —
-        the decode itself still runs to keep the unwrap carry exact).
+    def node(self, node: CallNode, enclosing: list[list]) -> None:
+        """Append one closed call: the recorder's sink.
+
+        *enclosing* holds the frames still open around the call; it is on
+        the interrupt track when it or any of them is an interrupt frame.
         """
-        if self.closed:
-            raise ValueError("live trace writer is closed")
-        n = len(columns)
-        if n == 0:
-            return 0
-        events = decode_columns(
-            columns,
-            self._names,
-            self.width_bits,
-            start_index=self._index,
-            time_base_us=self._base,
-            previous=self._previous,
-            tag_map=self._tag_map,
-        )
-        self._index += n
-        self._base = events.times[-1]
-        self._previous = columns.times[n - 1]
-        written = 0
-        # The carry must see every batch even past the cap, or a frame
-        # opened before the cap would close against the wrong entry.
-        spans = pair_entry_exits(events, self._carry)
-        if self.slices < self.max_slices:
-            times = events.times
-            for span in spans:
-                if self.slices >= self.max_slices:
-                    break
-                # The entry may sit batches back; the exit is always in
-                # this batch, so anchor on it.
-                exit_time = times[span.exit_index - events.start_index]
-                self._emit(
-                    chrome_complete_event(
-                        span.name,
-                        exit_time - span.elapsed_us,
-                        span.elapsed_us,
-                        cat="live",
-                    )
-                )
-                self.slices += 1
-                written += 1
-        elif spans:
+        if self.slices >= self.max_slices:
             self.dropped += 1
-        self._file.flush()
-        return written
+            return
+        interrupts = self._interrupts
+        interrupt = node.name in interrupts or any(
+            frame[0] in interrupts for frame in enclosing
+        )
+        if not interrupt:
+            self._track(proc_pid(node.proc), node.proc)
+        for event in call_node_events(node, interrupt):
+            self._emit(event)
+        self.slices += 1
+
+    def mark(self, time_us: int, name: str, proc: str) -> None:
+        """Append an inline mark that fired outside any call."""
+        if self.slices < self.max_slices:
+            pid = proc_pid(proc)
+            self._track(pid, proc)
+            self._emit(chrome_mark_event(name, time_us, pid, {}))
+
+    def flush(self) -> None:
+        """Push what is written so far to the file (once per wire batch)."""
+        if not self.closed:
+            self._file.flush()
 
     def window(self, window: "LiveWindow") -> None:  # noqa: F821 - duck-typed
         """Append the counter samples of one closed rolling window."""
         if self.closed:
             return
+        self._track(GAUGE_PID, "live gauges")
         cumulative = window.cumulative
         self._emit(
             chrome_counter_event(
                 "live.events_per_sec",
                 cumulative.wall_us,
                 {"events_per_sec": round(window.events_per_sec, 3)},
+                pid=GAUGE_PID,
             )
         )
         self._emit(
@@ -163,6 +134,7 @@ class LiveTraceWriter:
                 "live.busy_pct",
                 cumulative.wall_us,
                 {"busy": round(100.0 * window.window.busy_fraction, 3)},
+                pid=GAUGE_PID,
             )
         )
         self._file.flush()
@@ -175,13 +147,12 @@ class LiveTraceWriter:
             {
                 "name": "live_trace_end",
                 "ph": "M",
-                "pid": 1,
+                "pid": INTERRUPT_PID,
                 "tid": 0,
                 "args": {
-                    "records": self._index,
+                    "label": self.label,
                     "slices": self.slices,
-                    "batches_past_cap": self.dropped,
-                    "open_frames": len(self._carry.stack),
+                    "slices_dropped": self.dropped,
                 },
             }
         )

@@ -493,19 +493,17 @@ def _read_header(
             f"counter rate is zero; assuming the stock {STOCK_RATE_HZ} Hz",
         )
         rate = STOCK_RATE_HZ
-    # A label shorter than the header leaves room for future fields, which
-    # the reader skips; the salvager cannot tell them from a damaged length
-    # field, so it reports the disagreement and keeps the whole header.
-    if not clamped and label_len != len(extra):
-        if label_len > len(extra) or defects is not None:
-            _fault(
-                defects, "bad-header-field", 20,
-                f"MPF2 header label length {label_len} overruns the "
-                f"{header_size}-byte header",
-                f"label length {label_len} disagrees with header size "
-                f"{header_size}; trusting the header size",
-            )
-    label = extra if defects is not None else extra[:label_len]
+    # A label shorter than the header leaves room for fields a later
+    # format version appends: both policies skip them.
+    if not clamped and label_len > len(extra):
+        _fault(
+            defects, "bad-header-field", 20,
+            f"MPF2 header label length {label_len} overruns the "
+            f"{header_size}-byte header",
+            f"label length {label_len} overruns the {header_size}-byte header; "
+            "trusting the header size",
+        )
+    label = extra[:label_len]
     streamed = bool(flags & 2)
     meta = CaptureMeta(
         version=2,
@@ -814,6 +812,16 @@ def cached_capture_meta(path: Union[str, Path]) -> CaptureMeta:
 # -- the salvager ------------------------------------------------------------------
 
 
+def read_capture_bytes(source: Union[str, Path, BinaryIO, bytes]) -> bytes:
+    """The whole of a capture *source*: a path, an open stream (read to
+    its end) or the bytes themselves."""
+    if isinstance(source, (bytes, bytearray)):
+        return bytes(source)
+    if hasattr(source, "read"):
+        return b"".join(iter(lambda: source.read(1 << 20), b""))  # type: ignore[union-attr]
+    return Path(source).read_bytes()  # type: ignore[arg-type]
+
+
 def salvage_capture(
     source: Union[str, Path, BinaryIO, bytes],
 ) -> SalvageResult:
@@ -829,13 +837,7 @@ def salvage_capture(
     recovery, defect by defect).  ``meta.count`` is the number of
     records recovered.
     """
-    if isinstance(source, (bytes, bytearray)):
-        blob = bytes(source)
-    elif hasattr(source, "read"):
-        blob = b"".join(iter(lambda: source.read(1 << 20), b""))  # type: ignore[union-attr]
-    else:
-        blob = Path(source).read_bytes()  # type: ignore[arg-type]
-    stream = io.BytesIO(blob)
+    stream = io.BytesIO(read_capture_bytes(source))
     defects: list[CaptureDefect] = []
     meta, data_offset = _read_header(stream, defects)
     records: list[RawRecord] = []

@@ -15,7 +15,9 @@ Three consumers, three formats:
   :class:`~repro.analysis.callstack.CallTreeAnalysis` — the paper's
   Figure 4 code-path trace — with one track (pid) per reconstructed
   process (the ``swtch()`` split) and interrupt frames pulled onto a
-  dedicated track, matching the timeline report's interrupt row.
+  dedicated track, matching the timeline report's interrupt row.  Each
+  call is drawn by :func:`call_node_events`, which the live trace writer
+  (:mod:`repro.live.trace`) also feeds each call as the fold closes it.
 
 :func:`write_telemetry` picks the format from the file extension, which
 is what the CLI's ``--telemetry PATH`` flag uses.
@@ -132,15 +134,7 @@ def telemetry_to_chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     One process, one thread row per Python thread that produced spans;
     timestamps are microseconds since the tracer's origin.
     """
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": "repro telemetry"},
-        }
-    ]
+    events: List[Dict[str, Any]] = [chrome_process_name(1, "repro telemetry")]
     origin = telemetry.tracer.origin_ns
     tids: Dict[int, int] = {}
     for record in telemetry.spans():
@@ -178,43 +172,12 @@ def telemetry_to_chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     }
 
 
-def chrome_complete_event(
-    name: str,
-    ts_us: float,
-    dur_us: float,
-    *,
-    pid: int = 1,
-    tid: int = 1,
-    cat: str = "function",
-    args: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One ``ph="X"`` complete event (a finished call span).
-
-    The building block incremental trace writers append one at a time —
-    the live wire track emits these as entry/exit pairs close, instead
-    of materialising a whole document the way
-    :func:`capture_to_chrome_trace` does.
-    """
-    event: Dict[str, Any] = {
-        "name": name,
-        "cat": cat,
-        "ph": "X",
-        "ts": ts_us,
-        "dur": dur_us,
-        "pid": pid,
-        "tid": tid,
-    }
-    if args:
-        event["args"] = args
-    return event
-
-
 def chrome_counter_event(
     name: str,
     ts_us: float,
     values: Dict[str, float],
     *,
-    pid: int = 1,
+    pid: int,
     tid: int = 0,
 ) -> Dict[str, Any]:
     """One ``ph="C"`` counter sample (a gauge track point)."""
@@ -231,6 +194,88 @@ def chrome_counter_event(
 #: pid of the dedicated interrupt track in capture traces; reconstructed
 #: processes start at pid 1 and user-mode marks sit above them.
 INTERRUPT_PID = 0
+
+
+def proc_pid(proc: str) -> int:
+    """The track pid of reconstructed process *proc* (``P0`` is pid 1)."""
+    return int(proc[1:]) + 1
+
+
+def call_node_events(node: CallNode, interrupt: bool) -> List[Dict[str, Any]]:
+    """One closed call as trace events: its ``ph="X"`` slice, then one
+    instant event per inline mark it holds.
+
+    The one per-node renderer: :func:`capture_to_chrome_trace` walks a
+    kept forest through it, and the live trace writer hands it each node
+    as the fold closes it, so both draw the same slices.  ``interrupt``
+    puts the node on the interrupt track (it, or a frame around it, is an
+    interrupt frame); otherwise it sits on its process's track.
+    """
+    pid = INTERRUPT_PID if interrupt else proc_pid(node.proc)
+    exit_us = node.exit_us if node.exit_us is not None else node.enter_us
+    category = "interrupt" if interrupt else ("idle" if node.is_swtch else "kernel")
+    args: Dict[str, Any] = {
+        "proc": node.proc,
+        "self_us": node.self_us,
+        "depth": node.depth,
+    }
+    if node.synthetic:
+        args["synthetic"] = True
+    if node.truncated:
+        args["truncated"] = True
+    events: List[Dict[str, Any]] = [
+        {
+            "name": node.name,
+            "cat": category,
+            "ph": "X",
+            "ts": node.enter_us,
+            "dur": max(0, exit_us - node.enter_us),
+            "pid": pid,
+            "tid": 1,
+            "args": args,
+        }
+    ]
+    for time_us, mark in node.inline_marks:
+        events.append(chrome_mark_event(mark, time_us, pid, {"proc": node.proc}))
+    return events
+
+
+def chrome_mark_event(
+    name: str, ts_us: int, pid: int, args: Dict[str, Any]
+) -> Dict[str, Any]:
+    """One inline mark as a thread-scoped instant (``ph="i"``) event."""
+    return {
+        "name": name,
+        "cat": "inline",
+        "ph": "i",
+        "ts": ts_us,
+        "pid": pid,
+        "tid": 1,
+        "s": "t",
+        "args": args,
+    }
+
+
+def chrome_process_name(pid: int, name: str) -> Dict[str, Any]:
+    """The metadata event naming track *pid*."""
+    return {
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+        "args": {"name": name},
+    }
+
+
+def chrome_process_sort_index(pid: int, sort_index: int) -> Dict[str, Any]:
+    """The metadata event placing track *pid* in Perfetto's track order."""
+    return {
+        "name": "process_sort_index",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+        "args": {"sort_index": sort_index},
+    }
 
 
 def capture_to_chrome_trace(
@@ -254,84 +299,20 @@ def capture_to_chrome_trace(
     interrupts: Set[str] = (
         set(interrupt_names) if interrupt_names is not None else set(DEFAULT_INTERRUPT_FRAMES)
     )
-    pid_of: Dict[str, int] = {proc: i + 1 for i, proc in enumerate(analysis.procs)}
-    user_pid = len(pid_of) + 1
+    user_pid = len(analysis.procs) + 1
 
     events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": INTERRUPT_PID,
-            "tid": 0,
-            "args": {"name": "interrupts"},
-        },
-        {
-            "name": "process_sort_index",
-            "ph": "M",
-            "pid": INTERRUPT_PID,
-            "tid": 0,
-            "args": {"sort_index": len(pid_of) + 2},
-        },
+        chrome_process_name(INTERRUPT_PID, "interrupts"),
+        chrome_process_sort_index(INTERRUPT_PID, user_pid + 1),
     ]
-    for proc, pid in pid_of.items():
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": proc},
-            }
-        )
-        events.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": pid},
-            }
-        )
+    for proc in analysis.procs:
+        pid = proc_pid(proc)
+        events.append(chrome_process_name(pid, proc))
+        events.append(chrome_process_sort_index(pid, pid))
 
     def emit(node: CallNode, in_interrupt: bool) -> None:
         is_interrupt = in_interrupt or node.name in interrupts
-        pid = INTERRUPT_PID if is_interrupt else pid_of.get(node.proc, user_pid)
-        exit_us = node.exit_us if node.exit_us is not None else node.enter_us
-        category = "interrupt" if is_interrupt else ("idle" if node.is_swtch else "kernel")
-        args: Dict[str, Any] = {
-            "proc": node.proc,
-            "self_us": node.self_us,
-            "depth": node.depth,
-        }
-        if node.synthetic:
-            args["synthetic"] = True
-        if node.truncated:
-            args["truncated"] = True
-        events.append(
-            {
-                "name": node.name,
-                "cat": category,
-                "ph": "X",
-                "ts": node.enter_us,
-                "dur": max(0, exit_us - node.enter_us),
-                "pid": pid,
-                "tid": 1,
-                "args": args,
-            }
-        )
-        for time_us, mark in node.inline_marks:
-            events.append(
-                {
-                    "name": mark,
-                    "cat": "inline",
-                    "ph": "i",
-                    "ts": time_us,
-                    "pid": pid,
-                    "tid": 1,
-                    "s": "t",
-                    "args": {"proc": node.proc},
-                }
-            )
+        events.extend(call_node_events(node, is_interrupt))
         for child in node.children:
             emit(child, is_interrupt)
 
@@ -339,28 +320,9 @@ def capture_to_chrome_trace(
         emit(root, False)
 
     if analysis.orphan_marks:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": user_pid,
-                "tid": 0,
-                "args": {"name": "user mode"},
-            }
-        )
+        events.append(chrome_process_name(user_pid, "user mode"))
         for time_us, mark in analysis.orphan_marks:
-            events.append(
-                {
-                    "name": mark,
-                    "cat": "inline",
-                    "ph": "i",
-                    "ts": time_us,
-                    "pid": user_pid,
-                    "tid": 1,
-                    "s": "t",
-                    "args": {},
-                }
-            )
+            events.append(chrome_mark_event(mark, time_us, user_pid, {}))
 
     return {
         "traceEvents": events,

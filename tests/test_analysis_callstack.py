@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.callstack import analyze_capture
+from repro.analysis.callstack import CallTreeRecorder, analyze_capture
+from repro.analysis.columnar import columns_from_records
 
 from stream_helpers import stream
 
@@ -258,3 +259,84 @@ class TestConservation:
         analysis = analyze_capture(capture)
         for node in analysis.nodes():
             assert node.inclusive_us == sum(d.self_us for d in node.walk())
+
+
+class TestBatchesAndSink:
+    """The recorder's state carries across batch cuts, and its sink mode
+    streams the same forest it would keep."""
+
+    STEPS = (
+        ("=", "MGET", 2),  # a user-mode point outside any call
+        ("<", "read", 5),  # capture began mid-call: synthetic frame
+        (">", "main", 10),
+        (">", "read", 20),
+        ("=", "MGET", 25),
+        (">", "bcopy", 30),
+        ("<", "read", 40),  # bcopy's exit was never recorded
+        ("<", "main", 45),
+        (">", "swtch", 46),
+        ("<", "swtch", 48),
+        (">", "main", 50),
+        (">", "cksum", 60),  # still open when the capture ends
+    )
+
+    @staticmethod
+    def _fields(node):
+        return (
+            node.name, node.enter_us, node.exit_us, node.proc, node.depth,
+            node.self_us, node.synthetic, node.truncated, tuple(node.inline_marks),
+        )
+
+    def _whole(self, names):
+        capture = stream(names, *self.STEPS)
+        return capture, analyze_capture(capture)
+
+    def test_anomaly_indices_are_global_across_batches(self, simple_names):
+        capture, whole = self._whole(simple_names)
+        recorder = CallTreeRecorder(simple_names)
+        for start in range(0, len(capture.records), 2):
+            recorder.feed_columns(
+                columns_from_records(capture.records[start : start + 2])
+            )
+        chunked = recorder.analysis()
+        assert [(a.index, a.kind) for a in chunked.anomalies] == [
+            (a.index, a.kind) for a in whole.anomalies
+        ]
+        assert {a.index for a in chunked.anomalies} == {1, 6}
+        assert [self._fields(n) for n in chunked.nodes()] == [
+            self._fields(n) for n in whole.nodes()
+        ]
+
+    def test_sink_streams_the_kept_forest(self, simple_names):
+        capture, whole = self._whole(simple_names)
+        ancestors = {}
+
+        def record(node, path):
+            for child in node.children:
+                ancestors[id(child)] = path + [node.name]
+                record(child, path + [node.name])
+
+        for root in whole.roots:
+            ancestors[id(root)] = []
+            record(root, [])
+
+        class Sink:
+            nodes, marks = [], []
+
+            def node(self, node, enclosing):
+                assert node.children == []
+                self.nodes.append((self_fields(node), [f[0] for f in enclosing]))
+
+            def mark(self, time_us, name, proc):
+                self.marks.append((time_us, name, proc))
+
+        self_fields = self._fields
+        sink = Sink()
+        recorder = CallTreeRecorder(simple_names, sink=sink)
+        streamed = recorder.feed_records(capture.records).analysis()
+        assert streamed.roots == [] and streamed.orphan_marks == []
+        assert sorted(sink.nodes) == sorted(
+            (self._fields(n), ancestors[id(n)]) for n in whole.nodes()
+        )
+        assert [(t, name) for t, name, _ in sink.marks] == whole.orphan_marks
+        assert streamed.anomalies == whole.anomalies

@@ -22,7 +22,6 @@ from repro.analysis.columnar import (
     build_tag_map,
     columns_from_records,
     decode_columns,
-    pair_entry_exits,
     unwrap_times,
 )
 from repro.profiler.capture import Capture
@@ -123,16 +122,6 @@ class TestDecode:
         assert all(tag_map[record.tag][2] for record in capture.records)
         tree = analyze_capture(capture)
         assert tree.roots[0].is_swtch and tree.context_switches == 1
-
-    def test_indices_sequential(self, simple_names):
-        capture = stream(
-            simple_names, (">", "main", 0), (">", "read", 1), ("<", "read", 2)
-        )
-        events = decode_columns(
-            columns_from_records(capture.records), simple_names, start_index=7
-        )
-        spans = pair_entry_exits(events)
-        assert [(s.entry_index, s.exit_index) for s in spans] == [(8, 9)]
 
 
 class TestCounterWidthEdges:

@@ -28,6 +28,7 @@ import zlib
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.columnar import columns_from_records
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
@@ -70,6 +71,19 @@ _STREAM = _open_ended(
 _LABEL_FLIP = bytearray(_STREAM)
 _LABEL_FLIP[22] = 0xFF  # first label byte: outside the record CRC
 
+
+def _grown_header(blob: bytes) -> bytes:
+    """*blob* with 4 bytes of a future header field appended to its MPF2
+    header (the header-size field bumped to match)."""
+    grown = bytearray(blob)
+    header_size = int.from_bytes(grown[4:6], "big")
+    grown[4:6] = (header_size + 4).to_bytes(2, "big")
+    grown[header_size:header_size] = b"\xde\xad\xbe\xef"
+    return bytes(grown)
+
+
+_GROWN = _grown_header((GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes())
+
 #: name -> (capture bytes, whether the strict reader accepts it).
 INPUTS = {
     **{name: ((GOLDEN_DIR / name).read_bytes(), True) for name in GOLDENS},
@@ -77,6 +91,7 @@ INPUTS = {
     "stream-closed": (_STREAM, True),
     "stream-cut": (_STREAM[: len(_STREAM) - 15], False),
     "stream-label-flip": (bytes(_LABEL_FLIP), True),
+    "header-grown": (_GROWN, True),
 }
 
 
@@ -163,6 +178,20 @@ def test_label_flip_is_clean_and_cut_stream_is_not():
     cut = salvage_capture(INPUTS["stream-cut"][0])
     assert [d.kind for d in cut.defects] == ["missing-trailer", "partial-record"]
     assert len(cut.records) == 999
+
+
+def test_future_header_fields_are_skipped(tmp_path):
+    """A header grown by a field a later format version appends reads,
+    salvages and doctors exactly like the original."""
+    original = read_capture(GOLDEN_DIR / "figure3_network_v2.mpf")
+    salvaged = salvage_capture(_GROWN)
+    assert salvaged.defects == []
+    assert salvaged.meta.label == original[1].label != ""
+    assert salvaged.records == read_capture(io.BytesIO(_GROWN))[0] == original[0]
+    path = tmp_path / "grown.mpf"
+    path.write_bytes(_GROWN)
+    lines: list[str] = []
+    assert main(["capture", "doctor", str(path)], out=lines.append) == 0, lines
 
 
 # -- the writers --------------------------------------------------------------

@@ -237,7 +237,8 @@ def _repro(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
 
 class TestPipedCapture:
     """``cat f.mpf | repro analyze /dev/stdin``: a pipe can be read only
-    once, so the fold opens it once and prints what the file prints."""
+    once, so every report mix — summary and tree, with ``--salvage`` or
+    ``--strict`` — reads it once and prints what the file prints."""
 
     @pytest.mark.parametrize(
         "name, extra",
@@ -247,6 +248,12 @@ class TestPipedCapture:
             ("salvage_fuzz_truncate.mpf.corrupt", ["--salvage"]),
             ("salvage_fuzz_countlie.mpf.corrupt", ["--salvage"]),
             ("salvage_fuzz_bitflip.mpf.corrupt", ["--salvage"]),
+            ("figure3_network_v2.mpf", ["--report", "summary", "--report", "trace"]),
+            (
+                "salvage_fuzz_truncate.mpf.corrupt",
+                ["--salvage", "--report", "summary", "--report", "trace"],
+            ),
+            ("figure5_forkexec_v2.mpf", ["--strict"]),
         ],
     )
     def test_pipe_prints_what_the_file_prints(self, name, extra):
@@ -259,23 +266,11 @@ class TestPipedCapture:
         )
         assert from_file.returncode == 0, from_file.stderr
         assert piped.returncode == 0, piped.stderr
+        assert b"Traceback" not in piped.stderr
         assert piped.stdout == from_file.stdout.replace(
             path.encode(), b"/dev/stdin"
         )
         assert b"Elapsed time" in piped.stdout
-
-    def test_summary_and_tree_on_a_pipe_fail_cleanly(self):
-        """The tree reads the source a second time and finds it drained:
-        one stderr line and exit 2, never a traceback."""
-        piped = _repro(
-            "analyze", "/dev/stdin", "--names", GOLDEN_TAGS,
-            "--report", "summary", "--report", "trace",
-            stdin=(GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes(),
-        )
-        assert piped.returncode == 2
-        assert piped.stdout == b""
-        assert piped.stderr.startswith(b"analyze: /dev/stdin: ")
-        assert piped.stderr.count(b"\n") == 1 and b"Traceback" not in piped.stderr
 
 
 class TestMpf1Warning:
@@ -348,6 +343,48 @@ class TestOneSummaryEngine:
                 ],
                 out=lambda _: None,
             )
+
+
+class TestOneRead:
+    """One fold gives every report: the capture is opened exactly once."""
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        import repro.analysis.summary as summary
+        import repro.profiler.upload as upload
+
+        calls: list[object] = []
+        real = upload.open_capture_columns
+
+        def counting(source, **kwargs):
+            calls.append(source)
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(upload, "open_capture_columns", counting)
+        monkeypatch.setattr(summary, "open_capture_columns", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{capture}", "--report", "summary", "--report", "trace",
+             "--report", "gprof"],
+            ["analyze", "{capture}", "--salvage", "--report", "summary",
+             "--report", "trace", "--report", "gprof"],
+            ["trace", "export", "{capture}", "-o", "{out}"],
+        ],
+        ids=["analyze", "analyze-salvage", "trace-export"],
+    )
+    def test_capture_opened_once(self, opens, argv, tmp_path):
+        capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
+        out = str(tmp_path / "trace.json")
+        argv = [arg.format(capture=capture, out=out) for arg in argv]
+        code, lines = run_cli_code(*argv, "--names", GOLDEN_TAGS)
+        assert code == 0
+        assert opens == [capture]
+        if argv[0] == "analyze":
+            text = "\n".join(lines)
+            assert "Elapsed time" in text and "-> swtch (15 us)" in text
 
 
 class TestLintCommand:

@@ -416,49 +416,3 @@ class TestSummaryParity:
             lambda acc, recs: acc.feed_columns(columnar.columns_from_records(recs)),
         ):
             assert run(feed) == (str(excinfo.value), expected_text)
-
-
-# -- entry/exit pairing ------------------------------------------------------
-
-
-class TestPairEntryExits:
-    def test_spans_match_hand_computation(self):
-        steps = [
-            (">", "main", 0),
-            (">", "read", 10),
-            (">", "ISAINTR", 15),
-            ("<", "ISAINTR", 18),
-            ("<", "read", 30),
-            ("<", "main", 50),
-            (">", "bcopy", 60),  # never exits: no span
-        ]
-        records = []
-        for op, name, time_us in steps:
-            entry = NAMES.by_name(name)
-            tag = entry.entry_value if op == ">" else entry.exit_value
-            records.append(RawRecord(tag=tag, time=time_us))
-        events = columnar.decode_columns(
-            columnar.columns_from_records(records), NAMES
-        )
-        spans = columnar.pair_entry_exits(events)
-        assert [(s.name, s.entry_index, s.exit_index, s.elapsed_us) for s in spans] == [
-            ("ISAINTR", 2, 3, 3),
-            ("read", 1, 4, 20),
-            ("main", 0, 5, 50),
-        ]
-
-    @DIFF_SETTINGS
-    @given(records=call_streams())
-    def test_spans_are_consistent_with_events(self, records):
-        events = columnar.decode_columns(
-            columnar.columns_from_records(records), NAMES
-        )
-        for span in columnar.pair_entry_exits(events):
-            assert events.codes[span.entry_index] == columnar.CODE_ENTRY
-            assert events.codes[span.exit_index] == columnar.CODE_EXIT
-            assert events.names[span.entry_index] == span.name
-            assert events.names[span.exit_index] == span.name
-            assert span.elapsed_us == (
-                events.times[span.exit_index] - events.times[span.entry_index]
-            )
-            assert span.elapsed_us >= 0

@@ -6,43 +6,45 @@ truncation salvage, the invariant that a drained live summary is
 byte-identical to batch analysis, the peek/delta snapshot algebra the
 rolling windows are built on, heartbeat cadence on an injected clock,
 the reusable /metrics HTTP server, the incremental Chrome-trace track
-(including call spans that cross wire-batch boundaries), the P8xx lint
-family, and the ``repro live``/``repro top`` CLI.
+(slice for slice ``trace export``'s, with calls that cross wire-batch
+boundaries), the P8xx lint family, and the ``repro live``/``repro top``
+CLI.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import os
+import pathlib
 import socket
 import threading
 import urllib.request
+import warnings
 import zlib
 
 import pytest
 
 import reference_decode
 from stream_helpers import make_names
-from repro.analysis.columnar import (
-    PairingCarry,
-    build_tag_map,
-    columns_from_records,
-    decode_columns,
-    pair_entry_exits,
-)
+from repro.analysis.callstack import CallTreeRecorder
+from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import SummaryAccumulator
 from repro.db.query import FUNCTION_SORTS
 from repro.lint import lint_live_drain, lint_live_stream, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TOP_SORTS, TopView, render_top, sort_rows
-from repro.live.trace import LiveTraceWriter
+from repro.live.trace import DEFAULT_MAX_SLICES, GAUGE_PID, LiveTraceWriter
+from repro.instrument.namefile import NameTable
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     TRAILER_BYTES,
     CaptureFormatError,
+    CaptureMetadataWarning,
     CaptureStreamWriter,
     iter_capture_columns,
+    open_capture_columns,
     read_capture,
     salvage_capture,
 )
@@ -175,13 +177,56 @@ class TestLiveBatchIdentity:
         records = _records(500)
         names = _names()
         analyzer = LiveAnalyzer(names, window_s=1e-9)  # rotate every batch
-        live = analyzer.consume(
-            io.BytesIO(_wire_bytes(records, chunk=77)), chunk_records=61
-        )
+        live = analyzer.consume(io.BytesIO(_wire_bytes(records, chunk=77)))
         batch = reference_decode.summarize_records(records, names)
         assert live.format() == batch.format()
         assert analyzer.windows >= 1
         assert analyzer.records_total == len(records)
+
+    def test_pushed_batches_drain_to_the_consumed_summary(self):
+        records = _records(500)
+        names = _names()
+        consumed = LiveAnalyzer(names).consume(io.BytesIO(_wire_bytes(records)))
+        analyzer = LiveAnalyzer(names, window_s=1e-9)
+        for start in range(0, len(records), 61):
+            analyzer.feed(columns_from_records(records[start : start + 61]))
+        assert analyzer.finish().format() == consumed.format()
+        assert analyzer.batches == -(-len(records) // 61)
+
+    @pytest.mark.parametrize("mode", ["consume", "push"])
+    def test_last_window_closes_before_the_seal(self, mode):
+        # main never exits: the drained summary closes it administratively,
+        # but the last window, like every window, shows only closed calls.
+        records = _records(100)[:-1]
+        names = _names()
+        analyzer = LiveAnalyzer(names, window_s=3600.0)
+        if mode == "consume":
+            drained = analyzer.consume(io.BytesIO(_wire_bytes(records)))
+        else:
+            analyzer.feed(columns_from_records(records))
+            drained = analyzer.finish()
+        last = analyzer.latest_window
+        assert analyzer.windows == 1
+        assert last.cumulative.event_count == len(records)
+        assert "main" in drained.functions
+        assert "main" not in last.cumulative.functions
+
+    def test_consume_lag_is_on_the_monotonic_clock(self):
+        # The injected clock jumps an hour per reading; the lag gauge must
+        # not subtract it from the monotonic arrival instants.
+        ticks = iter(float(3600 * i) for i in range(1_000))
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            analyzer = LiveAnalyzer(_names(), clock=lambda: next(ticks))
+            analyzer.consume(io.BytesIO(_wire_bytes(_records(200))))
+            gauges = {
+                m["name"]: m["value"] for m in TELEMETRY.snapshot()["metrics"]
+            }
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert 0.0 <= gauges["live.lag_ms"] <= gauges["live.lag_ms.peak"] < 60_000.0
 
     def test_finish_idempotent_and_counts_drain(self):
         records = _records(100)
@@ -387,60 +432,124 @@ class TestTop:
 # -- incremental Chrome trace --------------------------------------------------
 
 
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN_TAGS = GOLDEN_DIR / "case_study.tags"
+GOLDEN_CAPTURES = (
+    "figure3_network.mpf",
+    "figure3_network_v2.mpf",
+    "figure5_forkexec.mpf",
+    "figure5_forkexec_v2.mpf",
+)
+PAPER_WORKLOADS = ("network", "forkexec", "nfs")
+
+
+@pytest.fixture(scope="module")
+def paper_captures(tmp_path_factory):
+    """Paper-size captures, as ``repro capture --packets 30`` saves them."""
+    root = tmp_path_factory.mktemp("paper")
+    built = {}
+    for workload in PAPER_WORKLOADS:
+        capture, tags = root / f"{workload}.mpf", root / f"{workload}.tags"
+        code, _ = run_cli(
+            "capture", "--workload", workload, "--packets", "30",
+            "--save", str(capture), "--names", str(tags),
+        )
+        assert code == 0
+        built[workload] = (capture, tags)
+    return built
+
+
+def _slices(events) -> collections.Counter:
+    """The multiset of ``ph="X"`` events, keyed on every drawn field."""
+    return collections.Counter(
+        (e["name"], e["cat"], e["ts"], e["dur"], e["pid"], e["tid"],
+         json.dumps(e["args"], sort_keys=True))
+        for e in events
+        if e.get("ph") == "X"
+    )
+
+
+def _live_trace(capture, names, path, *, max_slices=DEFAULT_MAX_SLICES):
+    """Push *capture* through the live analyzer in 7-record batches, so
+    frames straddle batch cuts; the trace document it writes."""
+    with open_capture_columns(capture, chunk_records=7) as (meta, batches):
+        analyzer = LiveAnalyzer(
+            names,
+            width_bits=meta.counter_width_bits,
+            trace=LiveTraceWriter(path, max_slices=max_slices),
+        )
+        for batch in batches:
+            analyzer.feed(batch)
+    analyzer.finish()
+    # The writer streamed every call; the fold kept none of them.
+    assert analyzer.accumulator.analysis().roots == []
+    return json.loads(path.read_text())
+
+
+def _export_trace(capture, tags, path):
+    code, _ = run_cli(
+        "trace", "export", str(capture), "--names", str(tags), "-o", str(path)
+    )
+    assert code == 0
+    return json.loads(path.read_text())["traceEvents"]
+
+
 class TestLiveTrace:
+    """The live trace is ``trace export``'s reconstruction, call by call."""
+
+    @pytest.mark.parametrize("capture", GOLDEN_CAPTURES + PAPER_WORKLOADS)
+    def test_live_slices_equal_trace_export(self, capture, paper_captures, tmp_path):
+        if capture in paper_captures:
+            path, tags = paper_captures[capture]
+        else:
+            path, tags = GOLDEN_DIR / capture, GOLDEN_TAGS
+        names = NameTable.read(tags)
+        cli_trace = tmp_path / "cli.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CaptureMetadataWarning)
+            live = _live_trace(path, names, tmp_path / "live.json")
+            export = _export_trace(path, tags, tmp_path / "export.json")
+            code, _ = run_cli(
+                "live", "analyze", str(path), "--names", str(tags),
+                "--trace-out", str(cli_trace),
+            )
+        assert code == 0
+        assert _slices(live) == _slices(export)
+        assert _slices(json.loads(cli_trace.read_text())) == _slices(export)
+
     def test_document_valid_and_spans_cross_batches(self, tmp_path):
         names = _names()
         records = _records(120)
-        path = tmp_path / "live.trace.json"
-        writer = LiveTraceWriter(path, names, max_slices=10_000)
-        # A mid-call chunk boundary: batches of 7 guarantee entry/exit
-        # pairs straddle the cut (pairs are written at even offsets).
-        for start in range(0, len(records), 7):
-            writer.feed(columns_from_records(records[start : start + 7]))
-        writer.close()
-        document = json.loads(path.read_text())
+        wire = io.BytesIO(_wire_bytes(records))
+        # Batches of 7 guarantee entry/exit pairs straddle the cut (pairs
+        # are written at even offsets).
+        document = _live_trace(wire, names, tmp_path / "live.json")
         slices = [e for e in document if e.get("ph") == "X"]
-        # every within-process pair renders despite the batch cuts:
-        whole = decode_columns(columns_from_records(records), names)
-        assert len(slices) == len(pair_entry_exits(whole))
+        recorder = CallTreeRecorder(names)
+        whole = list(recorder.feed_records(records).analysis().nodes())
+        assert len(slices) == len(whole) == len(records) // 2
         tail = document[-1]
         assert tail["name"] == "live_trace_end"
-        assert tail["args"]["records"] == len(records)
-        assert tail["args"]["open_frames"] == 0
+        assert tail["args"]["slices"] == len(slices)
+        assert tail["args"]["slices_dropped"] == 0
+        # The gauges sit on a named track of their own, not a process's.
+        counter_pids = {e["pid"] for e in document if e.get("ph") == "C"}
+        named = {
+            e["pid"]: e["args"]["name"]
+            for e in document
+            if e.get("name") == "process_name"
+        }
+        assert counter_pids == {GAUGE_PID}
+        assert named[GAUGE_PID] == "live gauges"
+        assert not counter_pids & {e["pid"] for e in slices}
 
     def test_slice_cap_bounds_file(self, tmp_path):
         path = tmp_path / "capped.json"
-        writer = LiveTraceWriter(path, _names(), max_slices=3)
-        writer.feed(columns_from_records(_records(100)))
-        writer.close()
-        document = json.loads(path.read_text())
+        wire = io.BytesIO(_wire_bytes(_records(100)))
+        document = _live_trace(wire, _names(), path, max_slices=3)
         assert len([e for e in document if e.get("ph") == "X"]) == 3
-        assert writer.slices == 3
-
-    def test_pairing_carry_matches_single_pass(self):
-        names = _names()
-        records = _records(200)
-        whole = pair_entry_exits(decode_columns(columns_from_records(records), names))
-        carry = PairingCarry()
-        chunked = []
-        tag_map = build_tag_map(names)
-        previous, base, index = None, 0, 0
-        for start in range(0, len(records), 13):
-            chunk = records[start : start + 13]
-            events = decode_columns(
-                columns_from_records(chunk),
-                names,
-                start_index=index,
-                time_base_us=base,
-                previous=previous,
-                tag_map=tag_map,
-            )
-            chunked.extend(pair_entry_exits(events, carry))
-            index += len(chunk)
-            base = events.times[-1]
-            previous = chunk[-1].time
-        assert chunked == whole
-        assert carry.stack == [] and carry.open_names == {}
+        assert document[-1]["args"]["slices"] == 3
+        assert document[-1]["args"]["slices_dropped"] == 50 - 3
 
 
 # -- P8xx lint ----------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import pathlib
 import re
 import threading
+import time
 
 import pytest
 
@@ -506,11 +507,23 @@ class TestProgressReporter:
         path = GOLDEN_DIR / "figure5_forkexec_v2.mpf"
         capture = Capture.load(path, names)
         ticks: list[int] = []
-        result = fold_capture(path, names, progress=ticks.append)
+        arrivals: list[float] = []
+
+        def tick(records: int, arrival: float) -> None:
+            ticks.append(records)
+            arrivals.append(arrival)
+
+        before = time.monotonic()
+        result = fold_capture(path, names, progress=tick)
         assert result.status == "ok"
         assert sum(ticks) == len(capture.records) == result.records
-        # One tick per 8192-record batch, never one per record.
-        assert len(ticks) == -(-len(capture.records) // 8192)
+        # One tick per 8192-record batch, never one per record, then one
+        # 0-record tick at end of stream.
+        assert ticks[-1] == 0 and 0 not in ticks[:-1]
+        assert len(ticks) - 1 == -(-len(capture.records) // 8192)
+        # Each batch's arrival instant is on the monotonic clock, in order.
+        assert before <= arrivals[0] and arrivals == sorted(arrivals)
+        assert arrivals[-1] <= time.monotonic()
 
 
 # -- the P4xx lint family -----------------------------------------------------
